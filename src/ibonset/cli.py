@@ -2,9 +2,11 @@
 sweeps, and the noise table, with machine-readable outputs.
 
 Exit codes: 0 success, 1 input error, 2 the dataset is independent (no
-finite threshold), 3 solver non-convergence.  All randomness flows from the
-single ``--seed`` flag, fanned out deterministically per task, so reruns
-with the same config produce identical outputs up to the report timestamp.
+finite threshold), 3 solver non-convergence, 4 the solver's free energy rose
+at some sweep point (a broken monotone invariant).  All randomness flows
+from the single ``--seed`` flag, fanned out deterministically per task, so
+reruns with the same config produce identical outputs up to the report
+timestamp.
 The ``IBONSET_OUT_DIR`` environment variable redirects relative output
 paths; nothing else is read from the environment.
 """
@@ -27,6 +29,7 @@ _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_INDEPENDENT = 2
 _EXIT_NO_CONVERGENCE = 3
+_EXIT_NON_MONOTONE = 4
 
 _DEFAULT_RATES = [round(0.02 * k, 2) for k in range(1, 25)]
 
@@ -387,6 +390,15 @@ def _cmd_sweep(config) -> int:
     if not any(p.converged for p in result.points):
         print("warning: no grid point converged", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE
+    non_monotone = result.protocol["non_monotone_betas"]
+    if non_monotone:
+        print(
+            "warning: solver free energy rose by more than "
+            f"{solver.MONOTONE_TOL:g} at beta = "
+            + ", ".join(f"{b:.4f}" for b in non_monotone),
+            file=sys.stderr,
+        )
+        return _EXIT_NON_MONOTONE
     return _EXIT_OK
 
 

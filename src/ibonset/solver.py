@@ -6,8 +6,9 @@ equations
     p(z|x) <- p(z) exp(-beta KL(p(y|x) || p(y|z))) / normalizer
 
 with p(z) and p(y|z) recomputed from the current encoder each step.  The
-objective never increases along this iteration (the update is a coordinate
-minimization of the underlying free energy), which is recorded and checked.
+free energy never increases along this iteration (the update is a coordinate
+minimization of it), which is recorded per sweep point and checked; an
+extrapolated step is accepted only when it keeps that property.
 
 The exactly uniform encoder is a stationary point for every beta, so
 initialization perturbs uniform rows with Dirichlet noise; several restarts
@@ -25,12 +26,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
+from scipy.special import rel_entr
 
-from .dist import DiscreteJoint
+from .dist import DiscreteJoint, entropy
 from .errors import ValidationError
 
 _LOG_TINY = 1e-300
+_LOG_FLOOR = math.log(_LOG_TINY)
+# a sweep point whose free energy rose by more than this is reported
+MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,9 @@ class SweepPoint:
     i_yz: float
     objective: float
     converged: bool
+    iterations: int
+    restart: int
+    max_objective_increase: float
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,9 @@ class SweepResult:
                     "i_yz_nats": p.i_yz,
                     "objective": p.objective,
                     "converged": p.converged,
+                    "iterations": p.iterations,
+                    "restart": p.restart,
+                    "max_objective_increase": p.max_objective_increase,
                 }
                 for p in self.points
             ],
@@ -148,16 +158,27 @@ def solve(
     """Iterate the self-consistent equations to a fixed point at one beta.
 
     ``restarts`` random initializations (Dirichlet-perturbed uniform rows,
-    concentration ``init_concentration``) are run for up to ``max_iters``
-    iterations each, stopping when the max-norm change of p(z|x) drops
+    concentration ``init_concentration``) are iterated together as one
+    ``(R, |X|, |Z|)`` stack for up to ``max_iters`` map evaluations each,
+    stopping when the max-norm change of one plain update of p(z|x) drops
     below ``tol``; the restart with the lowest final objective is returned.
     ``init_probs``, when given, is tried as an additional deterministic
     initialization (used for warm starts and stationarity checks; the
     exactly uniform encoder is itself a fixed point, so random perturbation
     is what breaks that symmetry).
 
+    Each cycle takes two plain updates and then a SQUAREM extrapolation
+    (Varadhan & Roland 2008) on log p(z|x), followed by one stabilizing
+    update; the extrapolated point is kept only if the free energy of that
+    update is no higher than that of the second plain one, so the free
+    energy never rises along the accepted iterates.  This removes the
+    critical slowing down of plain iteration next to a transition.
+
     Non-convergence is not an error: the best iterate comes back with
-    ``converged=False``.
+    ``converged=False``.  ``diagnostics`` holds the winning ``restart``
+    index, ``restarts_run``, the largest free-energy rise between accepted
+    updates (``max_objective_increase``) and the winner's information pair
+    (``i_xz``, ``i_yz``).
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValidationError(f"beta must be positive, got {beta!r}")
@@ -169,11 +190,6 @@ def solve(
         raise ValidationError("restarts must be non-negative")
 
     n_x = joint.shape[0]
-    p_x = joint.probs.sum(axis=1)
-    p_yx = joint.probs / p_x[:, None]
-    # sum_y p(y|x) log p(y|x), reused by the divergence matrix every step
-    neg_h_yx = xlogy(p_yx, p_yx).sum(axis=1)
-
     inits: list[np.ndarray] = []
     if init_probs is not None:
         arr = np.asarray(init_probs, dtype=float)
@@ -189,65 +205,150 @@ def solve(
     if not inits:
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
+    probs, iterations, converged, increases = _fixed_point(
+        np.stack(inits), joint, beta, max_iters, tol
+    )
     best: Encoder | None = None
-    for start_idx, pzx in enumerate(inits):
-        objective = math.inf
-        max_increase = 0.0
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iters + 1):
-            p_z = p_x @ pzx
-            p_zy = pzx.T @ joint.probs
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_y_given_z = np.where(
-                    p_z[:, None] > 0.0,
-                    p_zy / np.maximum(p_z, _LOG_TINY)[:, None],
-                    1.0 / joint.shape[1],
-                )
-            div = neg_h_yx[:, None] - p_yx @ np.log(
-                np.maximum(p_y_given_z, _LOG_TINY)
-            ).T
-            new = p_z[None, :] * np.exp(-beta * div)
-            dead = new.sum(axis=1) <= 0.0
-            if dead.any():
-                new[dead] = 1.0 / z_card
-            new = new / new.sum(axis=1, keepdims=True)
-
-            delta = float(np.abs(new - pzx).max())
-            pzx = new
-            i_xz, i_yz = _information_pair(pzx, joint)
-            current = i_xz - beta * i_yz
-            if current > objective:
-                max_increase = max(max_increase, current - objective)
-            objective = current
-            if delta < tol:
-                converged = True
-                break
-
-        candidate = Encoder(
-            probs=pzx,
-            beta=beta,
-            converged=converged,
-            iterations=iterations,
-            objective=objective,
-            diagnostics={
-                "restart": start_idx,
-                "max_objective_increase": max_increase,
-            },
-        )
-        if best is None or candidate.objective < best.objective:
-            best = candidate
-    best.diagnostics["restarts_run"] = len(inits)
+    for start_idx in range(len(inits)):
+        i_xz, i_yz = _information_pair(probs[start_idx], joint)
+        objective = i_xz - beta * i_yz
+        if best is None or objective < best.objective:
+            best = Encoder(
+                probs=probs[start_idx],
+                beta=beta,
+                converged=bool(converged[start_idx]),
+                iterations=int(iterations[start_idx]),
+                objective=objective,
+                diagnostics={
+                    "restart": start_idx,
+                    "restarts_run": len(inits),
+                    "max_objective_increase": float(increases[start_idx]),
+                    "i_xz": i_xz,
+                    "i_yz": i_yz,
+                },
+            )
     return best
 
 
-def _sweep_task(args):
+def _fixed_point(
+    stack: np.ndarray, joint: DiscreteJoint, beta: float, max_iters: int, tol: float
+):
+    """Run the safeguarded-accelerated iteration on a stack of encoders.
+
+    Returns per-restart final tables, map evaluations, convergence flags and
+    the largest free-energy rise between accepted updates.
+    """
+    p_x = joint.probs.sum(axis=1)
+    p_yx = joint.probs / p_x[:, None]
+    # F = -sum_x p(x) log Z(x) - beta I(X;Y) of one update satisfies
+    # L(new) <= F <= L(old) for L = I(X;Z) - beta I(Y;Z) (Tishby, Pereira &
+    # Bialek 1999); with Z(x) written without its p(y|x) log p(y|x) part the
+    # constant left over is -beta H(Y)
+    offset = -beta * entropy(joint.probs.sum(axis=0))
+
+    def update(pzx):
+        p_z = p_x @ pzx
+        p_y_given_z = (pzx.transpose(0, 2, 1) @ joint.probs) / np.maximum(
+            p_z, _LOG_TINY
+        )[:, :, None]
+        logits = np.log(p_z)[:, None, :] + beta * (
+            p_yx @ np.log(np.maximum(p_y_given_z, _LOG_TINY)).transpose(0, 2, 1)
+        )
+        peak = logits.max(axis=2, keepdims=True)
+        new = np.exp(logits - peak)
+        total = new.sum(axis=2, keepdims=True)
+        new /= total
+        log_norm = peak + np.log(total)
+        free = offset - (log_norm[:, :, 0] * p_x).sum(axis=1)
+        return new, np.maximum(logits - log_norm, _LOG_FLOOR), free
+
+    n = len(stack)
+    out_probs = np.empty_like(stack)
+    out_iters = np.zeros(n, dtype=int)
+    out_converged = np.zeros(n, dtype=bool)
+    out_increase = np.zeros(n)
+
+    active = np.arange(n)
+    cur = stack
+    last_free = np.full(n, np.inf)
+    increase = np.zeros(n)
+    evals = 0
+
+    def record(free, mask=True):
+        nonlocal last_free, increase
+        rise = np.where(mask, free - last_free, 0.0)
+        increase = np.maximum(increase, rise)
+        last_free = np.where(mask, free, last_free)
+
+    # log(0) marks an empty cluster; an extrapolation that overflows yields a
+    # non-finite free energy and is rejected by the comparison below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cur_log = np.maximum(np.log(np.maximum(stack, 0.0)), _LOG_FLOOR)
+        while active.size and evals < max_iters:
+            log0 = cur_log
+            new, cur_log, free = update(cur)
+            evals += 1
+            record(free)
+            done = np.abs(new - cur).max(axis=(1, 2)) < tol
+            cur = new
+            if done.any():
+                out_probs[active[done]] = cur[done]
+                out_iters[active[done]] = evals
+                out_converged[active[done]] = True
+                out_increase[active[done]] = increase[done]
+                keep = ~done
+                active, cur, cur_log, log0, last_free, increase = (
+                    a[keep] for a in (active, cur, cur_log, log0, last_free, increase)
+                )
+            if not active.size or evals >= max_iters:
+                break
+
+            log1 = cur_log
+            plain, log2, plain_free = update(cur)
+            evals += 1
+            record(plain_free)
+            cur, cur_log = plain, log2
+            if evals >= max_iters:
+                break
+
+            # SQUAREM step length alpha <= -1; alpha = -1 lands on the plain
+            # two-step iterate
+            r = log1 - log0
+            v = log2 - 2.0 * log1 + log0
+            r_norm = np.sqrt((r * r).sum(axis=(1, 2)))
+            v_norm = np.sqrt((v * v).sum(axis=(1, 2)))
+            alpha = np.minimum(-1.0, -r_norm / np.where(v_norm > 0.0, v_norm, np.inf))
+            alpha = alpha[:, None, None]
+            jump = log0 - 2.0 * alpha * r + alpha * alpha * v
+            jump = np.exp(jump - jump.max(axis=2, keepdims=True))
+            jump /= jump.sum(axis=2, keepdims=True)
+            stable, log3, stable_free = update(jump)
+            evals += 1
+            ok = stable_free <= plain_free
+            record(stable_free, ok)
+            cur = np.where(ok[:, None, None], stable, plain)
+            cur_log = np.where(ok[:, None, None], log3, log2)
+
+    out_probs[active] = cur
+    out_iters[active] = evals
+    out_increase[active] = increase
+    return out_probs, out_iters, out_converged, out_increase
+
+
+def _sweep_point(beta: float, enc: Encoder) -> SweepPoint:
+    d = enc.diagnostics
+    return SweepPoint(
+        beta, d["i_xz"], d["i_yz"], enc.objective, enc.converged,
+        enc.iterations, d["restart"], d["max_objective_increase"],
+    )
+
+
+def _sweep_task(args) -> SweepPoint:
     joint, beta, z_card, seed, max_iters, tol, restarts = args
     enc = solve(
         joint, beta, z_card, seed=seed, max_iters=max_iters, tol=tol, restarts=restarts
     )
-    i_xz, i_yz = _information_pair(enc.probs, joint)
-    return SweepPoint(beta, i_xz, i_yz, enc.objective, enc.converged), enc
+    return _sweep_point(beta, enc)
 
 
 def detect_onset(
@@ -336,8 +437,7 @@ def sweep(
                 restarts=restarts,
                 init_probs=prev,
             )
-            i_xz, i_yz = _information_pair(enc.probs, joint)
-            points_rev.append(SweepPoint(float(beta), i_xz, i_yz, enc.objective, enc.converged))
+            points_rev.append(_sweep_point(float(beta), enc))
             prev = enc.probs
         points = points_rev[::-1]
     else:
@@ -347,9 +447,9 @@ def sweep(
         ]
         if workers and workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                points = [p for p, _ in pool.map(_sweep_task, tasks)]
+                points = list(pool.map(_sweep_task, tasks))
         else:
-            points = [_sweep_task(t)[0] for t in tasks]
+            points = [_sweep_task(t) for t in tasks]
 
     i_xz_values = np.array([p.i_xz for p in points])
     detected, stats = detect_onset(
@@ -366,6 +466,9 @@ def sweep(
         "max_iters": max_iters,
         "tol": tol,
         "warm_start": warm_start,
+        "non_monotone_betas": [
+            p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
+        ],
     }
     return SweepResult(points=tuple(points), detected_beta0=detected, protocol=protocol)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from ibonset import (
     DiscreteJoint,
     save_conditional_csv,
     save_joint_csv,
+    solver,
 )
 from ibonset.cli import main
 
@@ -161,6 +163,34 @@ def test_sweep_non_convergence_exits_3(tmp_path):
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json"),
     ])
     assert code == 3
+
+
+def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
+    original = solver.solve
+
+    def rising_solve(joint, beta, *args, **kwargs):
+        enc = original(joint, beta, *args, **kwargs)
+        if beta > 3.0:
+            diagnostics = {**enc.diagnostics, "max_objective_increase": 1e-6}
+            enc = dataclasses.replace(enc, diagnostics=diagnostics)
+        return enc
+
+    monkeypatch.setattr(solver, "solve", rising_solve)
+    joint_path = tmp_path / "joint.csv"
+    save_joint_csv(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), joint_path)
+    out_json = tmp_path / "s.json"
+    code = main([
+        "sweep", "--joint", str(joint_path),
+        "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "8",
+        "--restarts", "2", "--seed", "1",
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
+    ])
+    assert code == 4
+    assert "free energy rose" in capsys.readouterr().err
+    doc = _read_json(out_json)["sweep"]
+    flagged = [p["beta"] for p in doc["points"] if p["max_objective_increase"] > 1e-9]
+    assert doc["protocol"]["non_monotone_betas"] == flagged
+    assert flagged and all(b > 3.0 for b in flagged)
 
 
 def test_table_reproduces_closed_form(tmp_path, capsys):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from ibonset import (
     DiscreteJoint,
     Encoder,
     ValidationError,
     detect_onset,
+    discretize,
     entropy,
     info_plane,
+    noise_preset,
     save_sweep_csv,
     solve,
     sweep,
@@ -18,6 +21,31 @@ from conftest import random_joint, two_cluster_joint
 
 DIAG = DiscreteJoint([[0.5, 0.0], [0.0, 0.5]])
 PRODUCT = DiscreteJoint(np.outer([0.4, 0.6], [0.3, 0.7]))
+
+
+def plain_reference(joint, beta, pzx, tol=1e-14, max_iters=100_000):
+    """Unaccelerated self-consistent iteration of one encoder."""
+    p_x = joint.probs.sum(axis=1)
+    p_yx = joint.probs / p_x[:, None]
+    for _ in range(max_iters):
+        p_z = p_x @ pzx
+        p_y_given_z = (pzx.T @ joint.probs) / p_z[:, None]
+        div = rel_entr(p_yx[:, None, :], p_y_given_z[None, :, :]).sum(axis=2)
+        new = p_z * np.exp(-beta * div)
+        new /= new.sum(axis=1, keepdims=True)
+        step = np.abs(new - pzx).max()
+        pzx = new
+        if step < tol:
+            return pzx
+    raise AssertionError("plain reference did not converge")
+
+
+def restart_inits(joint, seed, restarts, z_card):
+    """The Dirichlet initializations solve() draws for ``seed``."""
+    return [
+        np.random.default_rng(child).dirichlet(np.full(z_card, 10.0), size=joint.shape[0])
+        for child in np.random.SeedSequence(seed).spawn(restarts)
+    ]
 
 
 def test_uniform_encoder_is_exact_fixed_point():
@@ -210,3 +238,59 @@ def test_save_sweep_csv(tmp_path):
 def test_encoder_validation():
     with pytest.raises(ValidationError):
         Encoder(np.array([[0.5, 0.4]]), 2.0, True, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "rate, beta",
+    [
+        (0.2, np.geomspace(1.5, 4.5, 25)[14]),  # next to beta0 = 2.78
+        (0.0, np.geomspace(0.82, 1.45, 25)[8]),
+        (0.0, np.geomspace(0.82, 1.45, 25)[9]),
+    ],
+)
+def test_accelerated_kernel_matches_plain_reference(rate, beta):
+    # grid points next to beta0 in the criterion-4/5 sweeps: the accelerated
+    # fixed point must be the one plain iteration reaches at tol=1e-14
+    joint = discretize(noise_preset(rate))
+    enc = solve(joint, beta, seed=0)
+    init = restart_inits(joint, 0, 5, enc.probs.shape[1])[enc.diagnostics["restart"]]
+    ref = plain_reference(joint, beta, init)
+    ref_xz, ref_yz = info_plane(ref, joint)
+    i_xz, _ = info_plane(enc, joint)
+    assert enc.converged
+    assert enc.objective == pytest.approx(ref_xz - beta * ref_yz, abs=1e-8)
+    assert i_xz == pytest.approx(ref_xz, abs=1e-8)
+    pair = (enc.diagnostics["i_xz"], enc.diagnostics["i_yz"])
+    assert pair == pytest.approx(info_plane(enc, joint), abs=1e-12)
+
+
+def test_stacked_restarts_equal_solo_runs():
+    # restarts retire from the stack at different iterations; retiring one
+    # must not perturb the others
+    joint = discretize(noise_preset(0.2))
+    for beta in (2.85, 3.5):
+        enc = solve(joint, beta, seed=0)
+        solos = [
+            solve(joint, beta, init_probs=init, restarts=0)
+            for init in restart_inits(joint, 0, 5, enc.probs.shape[1])
+        ]
+        assert len({s.iterations for s in solos}) > 1
+        winner = solos[enc.diagnostics["restart"]]
+        assert enc.diagnostics["restart"] == int(np.argmin([s.objective for s in solos]))
+        assert enc.diagnostics["restarts_run"] == 5
+        np.testing.assert_array_equal(enc.probs, winner.probs)
+        assert enc.iterations == winner.iterations
+        assert enc.objective == winner.objective
+
+
+def test_sweep_monotone_on_every_point():
+    joint = discretize(noise_preset(0.2))
+    result = sweep(joint, np.geomspace(1.5, 4.5, 25), seed=0)
+    for p in result.points:
+        assert p.max_objective_increase <= 1e-9
+        assert 1 <= p.iterations <= result.protocol["max_iters"]
+        assert 0 <= p.restart < result.protocol["restarts"]
+    assert result.protocol["non_monotone_betas"] == []
+    row = result.to_dict()["points"][0]
+    assert {"iterations", "restart", "max_objective_increase"} <= set(row)
+
