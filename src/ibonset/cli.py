@@ -69,7 +69,6 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "preset": ("str", None),
         "method": ("str", "all"),
         "variant": ("str", "prefix"),
-        "tolerance": ("float", estimators.SEARCH_RTOL),
         "samples": ("int", None),
         "bins": ("int", 32),
         "seed": ("int", 0),
@@ -256,56 +255,64 @@ def _cmd_gen(config) -> int:
     return _EXIT_OK
 
 
-_ALL_METHODS = ("subset", "class-conditional", "functional", "maxcorr", "info-density")
+def _subset(problem: _Problem, config) -> estimators.BetaEstimate:
+    # only estimate has a variant flag; sweep and table use the prefix search
+    variant = config.get("variant", "prefix")
+    res = estimators.subset_search(problem.cond, variant=variant)
+    return estimators.BetaEstimate(
+        value=res.beta0,
+        method=estimators.Method.SUBSET_SEARCH,
+        subset=res,
+        diagnostics={"variant": variant},
+    )
 
 
-def _run_estimators(problem: _Problem, methods, config) -> list[estimators.BetaEstimate]:
-    results = []
-    for name in methods:
-        if name == "subset":
-            res = estimators.subset_search(
-                problem.cond,
-                tolerance=config["tolerance"],
-                variant=config["variant"],
-            )
-            results.append(
-                estimators.BetaEstimate(
-                    value=res.beta0,
-                    method=estimators.Method.SUBSET_SEARCH,
-                    subset=res,
-                    diagnostics={"variant": config["variant"]},
-                )
-            )
-        elif name == "class-conditional":
-            if problem.noise is None:
-                continue
-            results.append(estimators.class_conditional_beta(problem.noise, problem.prior))
-        elif name == "functional":
-            results.append(
-                estimators.minimize_beta(problem.joint, seed=config["seed"])
-            )
-        elif name == "maxcorr":
-            results.append(estimators.max_correlation_beta(problem.joint))
-        elif name == "info-density":
-            results.append(
-                estimators.info_density_beta(
-                    problem.cond,
-                    tolerance=config["tolerance"],
-                    variant=config["variant"],
-                )
-            )
-        else:
-            raise ValidationError(
-                f"unknown method {name!r}; choose from {', '.join(_ALL_METHODS)} or all"
-            )
-    return results
+#: method name -> estimator of a problem under a config; None when the
+#: estimator does not apply to the input (the class-conditional closed form
+#: needs the noise table of a mixture spec or preset)
+_ESTIMATORS = {
+    "subset": _subset,
+    "class-conditional": lambda problem, config: (
+        None if problem.noise is None
+        else estimators.class_conditional_beta(problem.noise, problem.prior)
+    ),
+    "functional": lambda problem, config: estimators.minimize_beta(
+        problem.joint, seed=config["seed"]
+    ),
+    "maxcorr": lambda problem, config: estimators.max_correlation_beta(problem.joint),
+    "info-density": lambda problem, config: estimators.info_density_beta(
+        problem.cond, variant=config["variant"]
+    ),
+}
+
+
+def _theory(problem: _Problem, names, config) -> dict[str, float]:
+    """Values of the named estimators keyed by method, leaving out those
+    that do not apply to the input or find X and Y independent."""
+    theory = {}
+    for name in names:
+        try:
+            est = _ESTIMATORS[name](problem, config)
+        except IndependenceError:
+            continue
+        if est is not None:
+            theory[est.method.value] = est.value
+    return theory
 
 
 def _cmd_estimate(config) -> int:
     problem = _load_problem(config)
     raw = config["method"]
-    methods = _ALL_METHODS if raw == "all" else tuple(_split_list(raw))
-    results = _run_estimators(problem, methods, config)
+    methods = tuple(_ESTIMATORS) if raw == "all" else tuple(_split_list(raw))
+    unknown = [name for name in methods if name not in _ESTIMATORS]
+    if unknown:
+        raise ValidationError(
+            f"unknown method {unknown[0]!r}; choose from {', '.join(_ESTIMATORS)} or all"
+        )
+    results = [
+        est for est in (_ESTIMATORS[name](problem, config) for name in methods)
+        if est is not None
+    ]
     if not results:
         raise ValidationError(
             "no applicable estimator for this input (the class-conditional "
@@ -348,21 +355,7 @@ def _cmd_sweep(config) -> int:
         workers=config["workers"],
     )
 
-    theory: dict[str, float] = {}
-    try:
-        theory["subset_search"] = estimators.subset_search(problem.cond).beta0
-    except IndependenceError:
-        pass
-    if problem.noise is not None:
-        theory["class_conditional"] = estimators.class_conditional_beta(
-            problem.noise, problem.prior
-        ).value
-    try:
-        theory["max_correlation_inverse"] = estimators.max_correlation_beta(
-            problem.joint
-        ).value
-    except IndependenceError:
-        pass
+    theory = _theory(problem, ("subset", "class-conditional", "maxcorr"), config)
 
     for p in result.points:
         flag = "" if p.converged else "  [not converged]"
@@ -407,22 +400,15 @@ def _table_row(rho: float, config) -> dict:
     class-conditional input, so every column is deterministic."""
     noise = synth.symmetric_flip(rho)
     prior = np.array([0.5, 0.5])
-    row: dict[str, float | None] = {"noise_rate": rho}
     cond = dist.ConditionalMatrix(noise, prior)
-    joint = dist.joint_from_conditional(cond)
-
-    try:
-        row["class_conditional"] = estimators.class_conditional_beta(noise, prior).value
-    except IndependenceError:
-        row["class_conditional"] = None
-    try:
-        row["subset_true_posterior"] = estimators.subset_search(cond).beta0
-    except IndependenceError:
-        row["subset_true_posterior"] = None
-    try:
-        row["functional"] = estimators.minimize_beta(joint, seed=config["seed"]).value
-    except IndependenceError:
-        row["functional"] = None
+    problem = _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
+    theory = _theory(problem, ("class-conditional", "subset", "functional"), config)
+    row: dict[str, float | None] = {
+        "noise_rate": rho,
+        "class_conditional": theory.get("class_conditional"),
+        "subset_true_posterior": theory.get("subset_search"),
+        "functional": theory.get("functional"),
+    }
 
     if config["learned"]:
         spec = synth.noise_preset(rho)
@@ -520,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="comma list of subset, class-conditional, functional, "
                    "maxcorr, info-density, or 'all'")
     p.add_argument("--variant", choices=["prefix", "range"])
-    p.add_argument("--tolerance", type=float)
     p.add_argument("--samples", type=int, help="sample the mixture and use analytic posteriors")
     p.add_argument("--bins", type=int)
     p.add_argument("--seed", type=int)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .errors import ValidationError
 
@@ -207,6 +206,23 @@ def conditional_from_joint(joint: DiscreteJoint, axis: str = "x") -> Conditional
     if mass.min() <= 0.0:
         raise ValidationError("zero-mass row while conditioning")
     return ConditionalMatrix(table / mass[:, None], mass)
+
+
+def xlogy(x, y) -> np.ndarray:
+    """Elementwise x log(y) with 0 log(y) := 0, for non-negative inputs."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.zeros(x.shape)
+    nz = x != 0.0
+    out[nz] = x[nz] * np.log(y[nz])
+    return out
+
+
+def rel_entr(x, y) -> np.ndarray:
+    """Elementwise x log(x / y) with 0 log(0 / y) := 0, for non-negative
+    inputs: the terms of a Kullback-Leibler divergence."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 cells are masked
+        return xlogy(x, x / y)
 
 
 def mutual_information(joint: DiscreteJoint, base: str = "nats") -> float:

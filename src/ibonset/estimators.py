@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
-from .dist import ConditionalMatrix, DiscreteJoint, Marginal
+from .dist import ConditionalMatrix, DiscreteJoint, Marginal, rel_entr
 from .errors import (
     IndependenceError,
     InvalidDirectionError,
@@ -38,11 +37,10 @@ from .errors import (
 #: denominators at or below this are treated as "no label information"
 DENOM_TOL = 1e-12
 
-#: default relative improvement needed to keep narrowing the search range
-SEARCH_RTOL = 1e-6
-
-#: ranges at most this wide are scanned point by point instead of narrowed
-EXHAUSTIVE_WIDTH = 32
+#: the range search scans every range of a pivot order while there are at
+#: most this many (N <= 723); beyond, coordinate descent, which can stop at a
+#: local minimum, bounds the work at O(N C) per step
+_RANGE_SCAN_LIMIT = 1 << 18
 
 #: thresholds may dip this far below 1 from floating-point roundoff
 _BETA_SLACK = 1e-9
@@ -135,14 +133,20 @@ class BetaEstimate:
 # subset thresholds
 # ---------------------------------------------------------------------------
 
-def _subset_ratio(mass: float, label_dist: np.ndarray, p_y: np.ndarray) -> float:
-    """(1/p(S) - 1) / (sum_j q_j^2/p_j - 1), +inf when uninformative."""
-    if not 0.0 < mass < 1.0 - 1e-15:
-        return math.inf
-    den = float((label_dist * label_dist / p_y).sum()) - 1.0
-    if den <= DENOM_TOL:
-        return math.inf
-    return (1.0 / mass - 1.0) / den
+def _beta_ratio(mass, label_dist, p_y):
+    """(1/p(S) - 1) / (sum_j q_j^2/p_j - 1) per candidate subset, +inf where
+    uninformative.  ``label_dist`` holds one distribution q per row (last
+    axis over labels) with ``mass`` its subset masses."""
+    den = (label_dist * label_dist / p_y).sum(axis=-1) - 1.0
+    return np.divide(1.0 / mass - 1.0, den, out=np.full(den.shape, np.inf),
+                     where=den > DENOM_TOL)
+
+
+def _info_density_ratio(mass, label_dist, p_y):
+    """(-ln p(S)) / KL(q || p(y)) per candidate subset, +inf where uninformative."""
+    den = rel_entr(label_dist, p_y).sum(axis=-1)
+    return np.divide(-np.log(mass), den, out=np.full(den.shape, np.inf),
+                     where=den > DENOM_TOL)
 
 
 def beta_for_subset(cond: ConditionalMatrix, members) -> float:
@@ -169,7 +173,7 @@ def beta_for_subset(cond: ConditionalMatrix, members) -> float:
     w = cond.weights[idx]
     mass = float(w.sum())
     label_dist = (w[:, None] * cond.rows[idx]).sum(axis=0) / mass
-    value = _subset_ratio(mass, label_dist, cond.label_marginal().probs)
+    value = float(_beta_ratio(mass, label_dist, cond.label_marginal().probs))
     if not math.isfinite(value):
         raise UninformativeSubsetError(
             "subset carries no label information (denominator ~ 0)"
@@ -180,38 +184,44 @@ def beta_for_subset(cond: ConditionalMatrix, members) -> float:
 class _PrefixTables:
     """Cumulative statistics along one pivot ordering.
 
-    After the O(N C) setup, any contiguous range [lo, hi] (1-based,
-    inclusive) is evaluated in O(C).
+    After the O(N C) setup, the contiguous ranges [lo, hi] (1-based,
+    inclusive) are evaluated for whole arrays of ``lo`` and ``hi`` at once.
     """
 
     def __init__(self, cond: ConditionalMatrix, order: np.ndarray):
         self.order = order
         w = cond.weights[order]
-        self.cum_w = np.cumsum(w)
-        self.cum_wr = np.cumsum(cond.weights[order, None] * cond.rows[order], axis=0)
+        # a leading zero row makes every range a difference of two entries
+        self.cum_w = np.concatenate(([0.0], np.cumsum(w)))
+        self.cum_wr = np.vstack((
+            np.zeros(cond.num_classes),
+            np.cumsum(w[:, None] * cond.rows[order], axis=0),
+        ))
         self.p_y = cond.label_marginal().probs
         self.n = len(order)
 
-    def _stats(self, lo: int, hi: int) -> tuple[float, np.ndarray]:
-        mass = self.cum_w[hi - 1] - (self.cum_w[lo - 2] if lo > 1 else 0.0)
-        acc = self.cum_wr[hi - 1] - (self.cum_wr[lo - 2] if lo > 1 else 0.0)
-        return float(mass), acc / mass
+    def stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        mass = self.cum_w[hi] - self.cum_w[lo - 1]
+        acc = self.cum_wr[hi] - self.cum_wr[lo - 1]
+        return mass, acc / np.expand_dims(mass, -1)
 
-    def beta(self, lo: int, hi: int) -> float:
-        mass, q = self._stats(lo, hi)
-        return _subset_ratio(mass, q, self.p_y)
+    def argmin(self, objective, lo, hi) -> tuple[float, int, int]:
+        """Exact minimum of ``objective`` over the ranges [lo[i], hi[i]];
+        ties go to the first."""
+        lo, hi = np.broadcast_arrays(lo, hi)
+        values = objective(*self.stats(lo, hi), self.p_y)
+        i = int(np.argmin(values))
+        return float(values[i]), int(lo[i]), int(hi[i])
 
-    def info_density(self, lo: int, hi: int) -> float:
-        mass, q = self._stats(lo, hi)
-        if not 0.0 < mass < 1.0 - 1e-15:
-            return math.inf
-        den = float(rel_entr(q, self.p_y).sum())
-        if den <= DENOM_TOL:
-            return math.inf
-        return -math.log(mass) / den
-
-    def members(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(sorted(int(i) for i in self.order[lo - 1:hi]))
+    def result(self, pivot: int, lo: int, hi: int) -> SubsetResult:
+        mass, q = self.stats(lo, hi)
+        return SubsetResult(
+            beta0=float(_beta_ratio(mass, q, self.p_y)),
+            pivot_class=pivot,
+            member_indices=tuple(sorted(self.order[lo - 1:hi].tolist())),
+            mass=float(mass),
+            label_dist=Marginal(q),
+        )
 
 
 def _pivot_order(rows: np.ndarray, pivot: int) -> np.ndarray:
@@ -219,139 +229,75 @@ def _pivot_order(rows: np.ndarray, pivot: int) -> np.ndarray:
     return np.argsort(-rows[:, pivot], kind="stable")
 
 
-def _improves(new: float, old: float, rtol: float) -> bool:
-    if not math.isfinite(old):
-        return math.isfinite(new)
-    return (old - new) > rtol * abs(old)
+def _search_pivot(tables: _PrefixTables, objective, variant: str):
+    """Best (value, lo, hi) for one pivot ordering.
 
-
-def _narrow_minimum(value_of, lo: int, hi: int, rtol: float) -> tuple[float, int]:
-    """Minimize value_of(k) over integers [lo, hi].
-
-    The bracket shrinks by 0.8/0.2 interpolation: each endpoint jumps to
-    its interpolated candidate only when that candidate improves on it by
-    more than ``rtol`` relative.  Once the surviving bracket is narrow (or
-    the search is narrow to begin with) every remaining point is evaluated,
-    which makes the result exact for small inputs.
+    The full set is the one candidate excluded, by index: its cumulative
+    mass rounds near but not to 1 at large N, and its ratio is then noise.
     """
-    cache: dict[int, float] = {}
-
-    def ev(k: int) -> float:
-        if k not in cache:
-            cache[k] = value_of(k)
-        return cache[k]
-
-    a, b = lo, hi
-    fa, fb = ev(a), ev(b)
-    while b - a + 1 > EXHAUSTIVE_WIDTH:
-        a2 = int(round(0.8 * a + 0.2 * b))
-        b2 = int(round(0.2 * a + 0.8 * b))
-        fa2, fb2 = ev(a2), ev(b2)
-        moved = False
-        if _improves(fa2, fa, rtol):
-            a, fa = a2, fa2
-            moved = True
-        if _improves(fb2, fb, rtol):
-            b, fb = b2, fb2
-            moved = True
-        if not moved:
-            break
-    if b - a + 1 <= EXHAUSTIVE_WIDTH:
-        for k in range(a, b + 1):
-            ev(k)
-    best_k = min(cache, key=lambda k: (cache[k], k))
-    return cache[best_k], best_k
-
-
-def _search_pivot(tables: _PrefixTables, objective, variant: str, rtol: float):
-    """Best (value, lo, hi) for one pivot ordering."""
     n = tables.n
+    if variant == "range" and n * (n + 1) // 2 <= _RANGE_SCAN_LIMIT:
+        lo, hi = np.triu_indices(n)
+        strict = (lo > 0) | (hi < n - 1)
+        return tables.argmin(objective, lo[strict] + 1, hi[strict] + 1)
+    best = tables.argmin(objective, 1, np.arange(1, n))
     if variant == "prefix":
-        value, k = _narrow_minimum(lambda k: objective(1, k), 1, n, rtol)
-        return value, 1, k
-
-    if variant != "range":
-        raise ValidationError(f"unknown search variant {variant!r}")
-
-    if n <= EXHAUSTIVE_WIDTH:
-        best = (math.inf, 1, 1)
-        for lo in range(1, n + 1):
-            for hi in range(lo, n + 1):
-                v = objective(lo, hi)
-                if v < best[0]:
-                    best = (v, lo, hi)
         return best
-
-    # coordinate descent: narrow the right edge with the left fixed, then
-    # the left with the right fixed, until neither moves; the best tuple is
-    # tracked explicitly so the reported value always matches its range
-    lo = 1
-    value, hi = _narrow_minimum(lambda k: objective(lo, k), 1, n, rtol)
-    best = (value, lo, hi)
-    for _ in range(64):
-        v_lo, new_lo = _narrow_minimum(lambda k: objective(k, hi), 1, hi, rtol)
-        if v_lo < best[0]:
-            best = (v_lo, new_lo, hi)
-        v_hi, new_hi = _narrow_minimum(lambda k: objective(new_lo, k), new_lo, n, rtol)
-        if v_hi < best[0]:
-            best = (v_hi, new_lo, new_hi)
-        if (new_lo, new_hi) == (lo, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return best
+    # coordinate descent from the best prefix: the exact minimum over the
+    # left edge with the right fixed, then over the right edge with the left
+    # fixed; each step keeps the current range as a candidate, so the value
+    # never rises, and the loop ends when a round no longer lowers it
+    while True:
+        value, lo, hi = best
+        _, lo, _ = tables.argmin(objective, np.arange(1 + (hi == n), hi + 1), hi)
+        best = tables.argmin(objective, lo, np.arange(lo, n + (lo > 1)))
+        if not best[0] < value:
+            return best
 
 
-def subset_search(
-    cond: ConditionalMatrix,
-    *,
-    tolerance: float = SEARCH_RTOL,
-    variant: str = "prefix",
-) -> SubsetResult:
-    """Find the contiguous subset minimizing the threshold ratio.
-
-    For each pivot class the rows are sorted by that class's probability in
-    decreasing order (stable, original index as tie-break) and contiguous
-    candidates are searched: prefixes anchored at the top row by default
-    (``variant='prefix'``), or free ranges (``variant='range'``).  The
-    minimum over pivot classes is returned.  The result is an upper bound
-    on the true threshold.
-
-    Raises :class:`IndependenceError` when no candidate subset carries any
-    label information.
-    """
-    n, c = cond.num_examples, cond.num_classes
-    if n < 2 or c < 2:
+def _best_subset(cond: ConditionalMatrix, objective, variant: str):
+    """Minimum of ``objective`` over the candidates of every pivot order,
+    as (value, pivot, lo, hi, tables)."""
+    if variant not in ("prefix", "range"):
+        raise ValidationError(f"unknown search variant {variant!r}")
+    if cond.num_examples < 2 or cond.num_classes < 2:
         raise IndependenceError(
             "X or Y takes a single value, so they are independent"
         )
-    best = None  # (value, pivot, lo, hi, tables)
-    for pivot in range(c):
+    best = None
+    for pivot in range(cond.num_classes):
         tables = _PrefixTables(cond, _pivot_order(cond.rows, pivot))
-        value, lo, hi = _search_pivot(tables, tables.beta, variant, tolerance)
+        value, lo, hi = _search_pivot(tables, objective, variant)
         if best is None or value < best[0]:
             best = (value, pivot, lo, hi, tables)
-    value, pivot, lo, hi, tables = best
-    if not math.isfinite(value):
+    if not math.isfinite(best[0]):
         raise IndependenceError(
             "every candidate subset has the marginal label distribution; "
             "X and Y are independent"
         )
-    mass, q = tables._stats(lo, hi)
-    return SubsetResult(
-        beta0=value,
-        pivot_class=pivot,
-        member_indices=tables.members(lo, hi),
-        mass=mass,
-        label_dist=Marginal(q),
-    )
+    return best
 
 
-def info_density_beta(
-    cond: ConditionalMatrix,
-    *,
-    tolerance: float = SEARCH_RTOL,
-    variant: str = "prefix",
-) -> BetaEstimate:
+def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> SubsetResult:
+    """Find the contiguous subset minimizing the threshold ratio.
+
+    For each pivot class the rows are sorted by that class's probability in
+    decreasing order (stable, original index as tie-break) and contiguous
+    strict subsets are searched: the exact minimum over every prefix
+    anchored at the top row by default (``variant='prefix'``), or over free
+    ranges (``variant='range'``), exact while N(N+1)/2 is at most
+    ``_RANGE_SCAN_LIMIT`` and by coordinate descent with exact steps from
+    the best prefix beyond.  The minimum over pivot classes is returned.
+    The result is an upper bound on the true threshold.
+
+    Raises :class:`IndependenceError` when no candidate subset carries any
+    label information.
+    """
+    _, pivot, lo, hi, tables = _best_subset(cond, _beta_ratio, variant)
+    return tables.result(pivot, lo, hi)
+
+
+def info_density_beta(cond: ConditionalMatrix, *, variant: str = "prefix") -> BetaEstimate:
     """Information-density approximation of the threshold.
 
     Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the same candidate
@@ -359,35 +305,11 @@ def info_density_beta(
     relaxations, so the result is a diagnostic, not a bound; it is flagged
     ``diagnostic_only`` in the report.
     """
-    n, c = cond.num_examples, cond.num_classes
-    if n < 2 or c < 2:
-        raise IndependenceError(
-            "X or Y takes a single value, so they are independent"
-        )
-    best = None
-    for pivot in range(c):
-        tables = _PrefixTables(cond, _pivot_order(cond.rows, pivot))
-        value, lo, hi = _search_pivot(tables, tables.info_density, variant, tolerance)
-        if best is None or value < best[0]:
-            best = (value, pivot, lo, hi, tables)
-    value, pivot, lo, hi, tables = best
-    if not math.isfinite(value):
-        raise IndependenceError(
-            "every candidate subset has the marginal label distribution; "
-            "X and Y are independent"
-        )
-    mass, q = tables._stats(lo, hi)
-    subset = SubsetResult(
-        beta0=tables.beta(lo, hi),
-        pivot_class=pivot,
-        member_indices=tables.members(lo, hi),
-        mass=mass,
-        label_dist=Marginal(q),
-    )
+    value, pivot, lo, hi, tables = _best_subset(cond, _info_density_ratio, variant)
     return BetaEstimate(
         value=value,
         method=Method.INFO_DENSITY,
-        subset=subset,
+        subset=tables.result(pivot, lo, hi),
         diagnostics={"diagnostic_only": True, "variant": variant},
     )
 
@@ -404,10 +326,7 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     p_y = table.label_marginal().probs
     if p_y.min() <= 0.0:
         raise ValidationError("induced label marginal has a zero entry")
-    per_class = [
-        _subset_ratio(float(table.weights[k]), table.rows[k], p_y)
-        for k in range(table.num_examples)
-    ]
+    per_class = _beta_ratio(table.weights, table.rows, p_y).tolist()
     pivot = int(np.argmin(per_class))
     value = per_class[pivot]
     if not math.isfinite(value):
@@ -458,6 +377,27 @@ def beta_for_scores(joint: DiscreteJoint, scores) -> float:
     return var / den
 
 
+def _correlation_pair(joint: DiscreteJoint) -> tuple[float, float, np.ndarray | None]:
+    """Top singular value of Q[x, y] = p(x, y) / sqrt(p(x) p(y)), the
+    maximum correlation rho (its second singular value), and the score
+    vector u_2(x) / sqrt(p(x)) of rho (None when Y takes one value).
+
+    A thin SVD keeps time O(|X| |Y|^2) and memory O(|X| |Y|).
+    """
+    p_x = joint.probs.sum(axis=1)
+    p_y = joint.probs.sum(axis=0)
+    q = joint.probs / np.sqrt(np.outer(p_x, p_y))
+    u, svals, _ = np.linalg.svd(q, full_matrices=False)
+    if abs(svals[0] - 1.0) > 1e-9:
+        raise ValidationError(
+            f"top singular value {svals[0]!r} deviates from 1; joint table invalid"
+        )
+    if len(svals) < 2:
+        return float(svals[0]), 0.0, None
+    rho = float(min(max(svals[1], 0.0), 1.0))
+    return float(svals[0]), rho, u[:, 1] / np.sqrt(p_x)
+
+
 def max_correlation(joint: DiscreteJoint) -> float:
     """Maximum correlation between transforms of X and of Y.
 
@@ -466,39 +406,20 @@ def max_correlation(joint: DiscreteJoint) -> float:
     for any valid joint; a deviation beyond 1e-9 means the table is broken
     and raises.
     """
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
-    q = joint.probs / np.sqrt(np.outer(p_x, p_y))
-    svals = np.linalg.svd(q, compute_uv=False)
-    if abs(svals[0] - 1.0) > 1e-9:
-        raise ValidationError(
-            f"top singular value {svals[0]!r} deviates from 1; joint table invalid"
-        )
-    if len(svals) < 2:
-        return 0.0
-    return float(min(max(svals[1], 0.0), 1.0))
+    return _correlation_pair(joint)[1]
 
 
 def max_correlation_beta(joint: DiscreteJoint) -> BetaEstimate:
     """Threshold 1/rho^2 from the maximum correlation rho, with the
     minimizing score vector recovered from the singular decomposition."""
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
-    q = joint.probs / np.sqrt(np.outer(p_x, p_y))
-    u, svals, _ = np.linalg.svd(q)
-    if abs(svals[0] - 1.0) > 1e-9:
-        raise ValidationError(
-            f"top singular value {svals[0]!r} deviates from 1; joint table invalid"
-        )
-    rho = float(min(max(svals[1], 0.0), 1.0)) if len(svals) > 1 else 0.0
+    top, rho, scores = _correlation_pair(joint)
     if rho * rho <= DENOM_TOL:
         raise IndependenceError("maximum correlation is zero; X and Y are independent")
-    scores = u[:, 1] / np.sqrt(p_x)
     return BetaEstimate(
         value=1.0 / (rho * rho),
         method=Method.MAX_CORRELATION_INVERSE,
         scores=scores,
-        diagnostics={"rho_m": rho, "top_singular_value": float(svals[0])},
+        diagnostics={"rho_m": rho, "top_singular_value": top},
     )
 
 
@@ -559,6 +480,7 @@ def minimize_beta(
             "label-conditional means carry no variance; X and Y are independent"
         )
     history = [gain]
+    best_gain, best_h = gain, h
     converged = False
     iterations = 0
     for iterations in range(1, iters + 1):
@@ -570,13 +492,14 @@ def minimize_beta(
                 "label-conditional means carry no variance; X and Y are independent"
             )
         history.append(gain)
+        if gain > best_gain:
+            best_gain, best_h = gain, h
         if iterations > conv_window:
             prev = history[-conv_window - 1]
             if abs(gain - prev) <= conv_rtol * abs(gain):
                 converged = True
                 break
 
-    best_gain = max(history)
     diagnostics = {
         "converged": converged,
         "iterations": iterations,
@@ -590,7 +513,7 @@ def minimize_beta(
     return BetaEstimate(
         value=1.0 / best_gain,
         method=Method.FUNCTIONAL,
-        scores=h,
+        scores=best_h,
         diagnostics=diagnostics,
     )
 

@@ -26,9 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
-from .dist import DiscreteJoint, entropy
+from .dist import DiscreteJoint, entropy, rel_entr
 from .errors import ValidationError
 
 _LOG_TINY = 1e-300

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .dist import ConditionalMatrix, DiscreteJoint
 from .errors import ValidationError
@@ -242,7 +241,7 @@ def _class_log_densities(spec: MixtureSpec, points: np.ndarray) -> np.ndarray:
         per_class[comp.class_id].append(math.log(comp.weight) + logpdf)
     for c, terms in per_class.items():
         if terms:
-            out[:, c] = logsumexp(np.stack(terms, axis=0), axis=0)
+            out[:, c] = np.logaddexp.reduce(terms, axis=0)
     return out
 
 
@@ -304,6 +303,11 @@ def _cell_labels(bins: int, occupied: np.ndarray) -> tuple[str, ...]:
     return tuple(f"cell({i // bins},{i % bins})" for i in np.flatnonzero(occupied))
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF; erfc keeps the lower tail accurate."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+
+
 def _discretize_exact(spec, bins, box, mass_floor) -> DiscreteJoint:
     (x_lo, x_hi), (y_lo, y_hi) = box if box is not None else default_box(spec)
     if not (x_hi > x_lo and y_hi > y_lo):
@@ -314,8 +318,8 @@ def _discretize_exact(spec, bins, box, mass_floor) -> DiscreteJoint:
     class_mass = np.zeros((bins * bins, spec.num_true_classes))
     for comp in spec.components:
         sx, sy = np.sqrt(comp.variances)
-        cdf_x = ndtr((edges_x - comp.mean[0]) / sx)
-        cdf_y = ndtr((edges_y - comp.mean[1]) / sy)
+        cdf_x = _normal_cdf((edges_x - comp.mean[0]) / sx)
+        cdf_y = _normal_cdf((edges_y - comp.mean[1]) / sy)
         cells = np.outer(np.diff(cdf_x), np.diff(cdf_y)) * comp.weight
         class_mass[:, comp.class_id] += cells.ravel()
 

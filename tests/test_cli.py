@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ibonset
 from ibonset import (
     ConditionalMatrix,
     DiscreteJoint,
@@ -70,8 +75,27 @@ def test_estimate_unknown_preset_exits_1():
 
 def test_estimate_config_file_with_unknown_key(tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"preset": "noise-0.2", "surprise": 1}))
-    assert main(["estimate", "--config", str(cfg)]) == 1
+    for key in ("surprise", "tolerance"):
+        cfg.write_text(json.dumps({"preset": "noise-0.2", key: 1}))
+        assert main(["estimate", "--config", str(cfg)]) == 1
+
+
+def test_estimate_rejects_tolerance_flag():
+    # the subset search is exact, so it has no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--preset", "noise-0.2", "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(ibonset.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ibonset.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_estimate_config_file_flags_override(tmp_path):

@@ -18,6 +18,7 @@ from ibonset import (
     save_conditional_csv,
     save_joint_csv,
 )
+from ibonset.dist import rel_entr, xlogy
 from conftest import random_joint, two_cluster_joint
 
 # 1 - (-0.2 log2 0.2 - 0.8 log2 0.8), evaluated by the binary-entropy formula
@@ -205,3 +206,16 @@ def test_entropy_helper():
     assert entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-14)
     assert entropy([0.5, 0.5], base="bits") == pytest.approx(1.0, abs=1e-14)
     assert entropy([1.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_rel_entr_and_xlogy_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, 0.0, tiny, tiny, 1e-300, 0.3, 1.0, 0.5])
+    y = np.array([0.0, 0.5, tiny, 0.7, 1e-310, 0.3, 1e-300, 1.0])
+    np.testing.assert_allclose(rel_entr(x, y), special.rel_entr(x, y), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(xlogy(x, y), special.xlogy(x, y), rtol=1e-15, atol=0)
+    # broadcasting, as the estimators use it: candidate rows against a marginal
+    q = np.array([[0.2, 0.8], [0.0, 1.0]])
+    p = np.array([0.5, 0.5])
+    np.testing.assert_allclose(rel_entr(q, p), special.rel_entr(q, p), rtol=1e-15, atol=0)

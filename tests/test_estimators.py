@@ -11,6 +11,7 @@ from ibonset import (
     Method,
     UninformativeSubsetError,
     ValidationError,
+    analytic_posterior,
     beta_for_scores,
     beta_for_subset,
     class_conditional_beta,
@@ -20,7 +21,9 @@ from ibonset import (
     max_correlation,
     max_correlation_beta,
     minimize_beta,
+    noise_preset,
     onset_correction,
+    sample,
     subset_search,
     symmetric_flip,
 )
@@ -65,13 +68,27 @@ def oracle_subset_info_density(rows, weights, members):
 
 
 def oracle_enumerate_prefixes(cond, objective=oracle_subset_beta):
-    """Exhaustive minimum over contiguous prefixes of every pivot-sorted
+    """Exhaustive minimum over the strict prefixes of every pivot-sorted
     order; this is the ground truth the search must reproduce."""
     best = math.inf
     for pivot in range(cond.num_classes):
         order = np.argsort(-cond.rows[:, pivot], kind="stable")
-        for k in range(1, cond.num_examples + 1):
+        for k in range(1, cond.num_examples):
             best = min(best, objective(cond.rows, cond.weights, order[:k]))
+    return best
+
+
+def oracle_enumerate_ranges(cond, objective=oracle_subset_beta):
+    """Exhaustive minimum over the contiguous strict subsets (ranges) of
+    every pivot-sorted order."""
+    n = cond.num_examples
+    best = math.inf
+    for pivot in range(cond.num_classes):
+        order = np.argsort(-cond.rows[:, pivot], kind="stable")
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                if hi - lo < n:
+                    best = min(best, objective(cond.rows, cond.weights, order[lo:hi]))
     return best
 
 
@@ -141,7 +158,9 @@ def test_subset_search_single_row_independent():
 
 
 def test_subset_search_matches_exhaustive_prefix_oracle(rng):
-    # small instances, including duplicated rows to exercise tie-breaking
+    # small instances, including duplicated rows to exercise tie-breaking,
+    # then N in the thousands
+    tables = []
     for trial in range(40):
         n = int(rng.integers(2, 13))
         c = int(rng.integers(2, 5))
@@ -150,7 +169,9 @@ def test_subset_search_matches_exhaustive_prefix_oracle(rng):
             rows[1] = rows[0]
             rows[3] = rows[2]
         weights = rng.dirichlet(np.ones(n) * 5.0) if trial % 2 else None
-        cond = ConditionalMatrix(rows, weights)
+        tables.append(ConditionalMatrix(rows, weights))
+    tables += [random_cond(rng, 1000, 2), random_cond(rng, 2000, 3)]
+    for cond in tables:
         expected = oracle_enumerate_prefixes(cond)
         if not math.isfinite(expected):
             continue
@@ -169,11 +190,26 @@ def test_subset_search_range_variant_at_least_as_tight(rng):
         assert ranged <= prefix + 1e-12
 
 
+def test_subset_search_range_matches_exhaustive_range_oracle(rng):
+    for _ in range(30):
+        cond = random_cond(rng, int(rng.integers(2, 13)), int(rng.integers(2, 6)))
+        expected = oracle_enumerate_ranges(cond)
+        if math.isfinite(expected):
+            result = subset_search(cond, variant="range")
+            assert result.beta0 == pytest.approx(expected, rel=1e-12)
+            direct = beta_for_subset(cond, list(result.member_indices))
+            assert direct == pytest.approx(result.beta0, rel=1e-12)
+        expected = oracle_enumerate_ranges(cond, oracle_subset_info_density)
+        if math.isfinite(expected):
+            est = info_density_beta(cond, variant="range")
+            assert est.value == pytest.approx(expected, rel=1e-12)
+
+
 def test_subset_search_range_variant_large_input_consistent(rng):
     # exercises the coordinate-descent path (N above the exhaustive cutoff):
     # the reported subset must achieve the reported value
     for trial in range(5):
-        cond = random_cond(rng, 200, 3)
+        cond = random_cond(rng, 1000, 3)
         result = subset_search(cond, variant="range")
         direct = beta_for_subset(cond, list(result.member_indices))
         assert direct == pytest.approx(result.beta0, rel=1e-12)
@@ -181,7 +217,17 @@ def test_subset_search_range_variant_large_input_consistent(rng):
         assert result.beta0 <= prefix + 1e-12
 
 
-def test_subset_search_narrowing_handles_large_inputs(rng):
+def test_subset_search_excludes_full_set_at_large_n():
+    # at N=1e5 the full prefix's cumulative mass rounds to 1 - 1.9e-12; a
+    # mass tolerance let it in with a threshold of about 0.36
+    spec = noise_preset(0.2)
+    cond = analytic_posterior(spec, sample(spec, 100_000, seed=0).points)
+    result = subset_search(cond)
+    assert len(result.member_indices) < cond.num_examples
+    assert result.beta0 == pytest.approx(TWO_CLUSTER_BETA, rel=1e-3)
+
+
+def test_subset_search_handles_large_inputs(rng):
     # sampled two-cluster rows with mild perturbation; the search must stay
     # close to the closed form at N in the thousands
     n = 4000
@@ -315,6 +361,15 @@ def test_minimize_beta_matches_svd_inverse(rng):
         assert est.value == pytest.approx(1.0 / rho**2, abs=1e-6)
 
 
+def test_minimize_beta_scores_belong_to_value():
+    # a step too large for this table makes later iterates worse than the
+    # start, so the best iterate is not the last one
+    joint = DiscreteJoint([[0.3, 0.1], [0.1, 0.2], [0.05, 0.25]])
+    est = minimize_beta(joint, iters=10, lr=5.0, seed=1)
+    assert not est.diagnostics["converged"]
+    assert beta_for_scores(joint, est.scores) == pytest.approx(est.value, rel=1e-12)
+
+
 def test_minimize_beta_non_convergence_warns():
     est = minimize_beta(two_cluster_joint(0.2), iters=3, seed=1)
     assert not est.diagnostics["converged"]
@@ -382,8 +437,12 @@ def test_info_density_independent_rows():
 
 
 def test_info_density_matches_exhaustive_oracle(rng):
-    for _ in range(25):
-        cond = random_cond(rng, int(rng.integers(2, 12)), int(rng.integers(2, 4)))
+    tables = [
+        random_cond(rng, int(rng.integers(2, 12)), int(rng.integers(2, 4)))
+        for _ in range(25)
+    ]
+    tables += [random_cond(rng, 1000, 2), random_cond(rng, 2000, 3)]
+    for cond in tables:
         expected = oracle_enumerate_prefixes(cond, oracle_subset_info_density)
         if not math.isfinite(expected):
             continue

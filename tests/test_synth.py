@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ibonset import (
     subset_search,
     symmetric_flip,
 )
+from ibonset import synth
 
 MI_TWO_CLUSTER_BITS = 0.2780719051126377  # 1 - binary entropy of 0.2, in bits
 
@@ -197,3 +200,28 @@ def test_get_preset_parsing():
         get_preset("bogus-1.0")
     with pytest.raises(ValidationError):
         get_preset("noise-high")
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([np.linspace(-37.0, 37.0, 2001), [0.0, -1e-300, 1e-300]])
+    np.testing.assert_allclose(synth._normal_cdf(z), special.ndtr(z), rtol=1e-10, atol=0)
+
+
+def test_class_log_densities_match_scipy_logsumexp():
+    special = pytest.importorskip("scipy.special")
+    a = MixtureComponent((-1.0, 0.0), (0.25, 0.25), 0.3, 0)
+    b = MixtureComponent((2.0, 1.0), (0.5, 0.1), 0.5, 0)
+    c = MixtureComponent((0.0, 3.0), (0.2, 0.2), 0.2, 1)
+    # the last two points are far enough out that exp underflows to 0
+    pts = np.array([[0.0, 0.0], [2.0, 1.0], [40.0, -30.0], [-1e3, 1e3]])
+
+    def alone(comp):
+        spec = MixtureSpec((MixtureComponent(comp.mean, comp.variances, 1.0, 0),))
+        return synth._class_log_densities(spec, pts)[:, 0]
+
+    expected = special.logsumexp(
+        [math.log(a.weight) + alone(a), math.log(b.weight) + alone(b)], axis=0
+    )
+    got = synth._class_log_densities(MixtureSpec((a, b, c)), pts)[:, 0]
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
