@@ -68,12 +68,21 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _cross_entropy(log_probs, labels):
+    return -log_probs[np.arange(len(labels)), labels].mean()
+
+
+def _loss(weights, biases, x, labels):
+    """Mean cross-entropy alone, equal to ``loss_and_gradients(...)[0]``."""
+    return _cross_entropy(_log_softmax(_forward(weights, biases, x)[0]), labels)
+
+
 def loss_and_gradients(weights, biases, x, labels):
     """Mean cross-entropy and its exact gradients for one batch."""
     logits, activations = _forward(weights, biases, x)
     log_probs = _log_softmax(logits)
     n = len(x)
-    loss = -log_probs[np.arange(n), labels].mean()
+    loss = _cross_entropy(log_probs, labels)
 
     delta = np.exp(log_probs)
     delta[np.arange(n), labels] -= 1.0
@@ -109,7 +118,7 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
     sizes = [x.shape[1], *cfg.hidden, n_classes]
     weights, biases = _init_params(sizes, rng)
 
-    history = [loss_and_gradients(weights, biases, x, labels)[0]]
+    history = [_loss(weights, biases, x, labels)]
     n = len(x)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -119,7 +128,7 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
             for w, b, dw, db in zip(weights, biases, gw, gb):
                 w -= cfg.learning_rate * dw
                 b -= cfg.learning_rate * db
-        history.append(loss_and_gradients(weights, biases, x, labels)[0])
+        history.append(_loss(weights, biases, x, labels))
 
     return MlpModel(weights, biases, mean, std, cfg, history)
 

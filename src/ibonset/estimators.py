@@ -437,14 +437,21 @@ def minimize_beta(
 
     Runs gradient descent on the log of the ratio from a random
     non-constant start; the ratio is affine-invariant, so after every step
-    the scores are re-centered to weighted mean 0 and variance 1.
-    Convergence is declared when the value's relative change over
-    ``conv_window`` steps drops below ``conv_rtol``; otherwise the best
-    iterate is returned with a warning in the diagnostics.
+    the scores are re-centered to weighted mean 0 and variance 1 under
+    p(x).  The gradient is taken in the same p(x)-weighted metric, so the
+    step size does not shrink with the number of rows.  At the default
+    ``lr = 0.5`` one step is exactly a power step on D^-1 M (D = diag p(x),
+    M as below) in the centered subspace: the value never rises and
+    approaches 1/rho^2 at rate (sigma_3/sigma_2)^2 per step, where sigma_k
+    is the k-th singular value of the normalized joint (sigma_2 = rho).
+    A smaller ``lr`` moves only part of the way to the power step;
+    ``lr > 0.5`` goes past it and may overshoot.  Convergence is declared
+    when the value's relative change over ``conv_window`` steps drops below
+    ``conv_rtol``; otherwise the best iterate is returned with a warning in
+    the diagnostics.
 
-    On well-conditioned tables the result matches 1/max_correlation^2; the
-    singular-value route is the exact minimizer and this descent
-    cross-validates it.
+    The result matches 1/max_correlation^2; the singular-value route is
+    the exact minimizer and this descent cross-validates it.
     """
     if joint.shape[0] < 2:
         raise ValidationError("need at least two x values to define a direction")
@@ -452,11 +459,9 @@ def minimize_beta(
     p_y = joint.probs.sum(axis=0)
     # the quadratic form h M h with M[x,x'] = sum_y p(x,y)p(x',y)/p(y) is
     # what the centered unit-variance ratio inverts; M is kept factored so
-    # one multiply costs O(|X||Y|) even for large discretized alphabets
-    left = joint.probs / p_y[None, :]
-
-    def m_times(h: np.ndarray) -> np.ndarray:
-        return left @ (joint.probs.T @ h)
+    # one multiply costs O(|X||Y|) even for large discretized alphabets, and
+    # D^-1 M h = p(y|x) @ (P^T h / p(y)) needs no division by p(x) per step
+    p_y_given_x = joint.probs / p_x[:, None]
 
     def project(h: np.ndarray) -> np.ndarray:
         h = h - p_x @ h
@@ -464,6 +469,17 @@ def minimize_beta(
         if v <= 0.0:
             raise InvalidDirectionError("scores collapsed to a constant")
         return h / math.sqrt(v)
+
+    def label_means(h: np.ndarray) -> tuple[float, np.ndarray]:
+        # E[h|y] and the gain sum_y p(y) E[h|y]^2 = 1/ratio of a projected h
+        v = joint.probs.T @ h
+        means = v / p_y
+        gain = float(v @ means)
+        if gain <= DENOM_TOL:
+            raise IndependenceError(
+                "label-conditional means carry no variance; X and Y are independent"
+            )
+        return gain, means
 
     if init_scores is not None:
         h = np.asarray(init_scores, dtype=float).copy()
@@ -474,23 +490,16 @@ def minimize_beta(
         h = rng.standard_normal(len(p_x))
     h = project(h)
 
-    gain = float(h @ m_times(h))  # = 1/ratio at the projected point
-    if gain <= DENOM_TOL:
-        raise IndependenceError(
-            "label-conditional means carry no variance; X and Y are independent"
-        )
+    gain, means = label_means(h)
     history = [gain]
     best_gain, best_h = gain, h
     converged = False
     iterations = 0
     for iterations in range(1, iters + 1):
-        grad = 2.0 * p_x * h - 2.0 * m_times(h) / gain
+        # gradient of log(Var/gain) at unit variance, in the p(x) metric
+        grad = 2.0 * h - 2.0 * (p_y_given_x @ means) / gain
         h = project(h - lr * grad)
-        gain = float(h @ m_times(h))
-        if gain <= DENOM_TOL:
-            raise IndependenceError(
-                "label-conditional means carry no variance; X and Y are independent"
-            )
+        gain, means = label_means(h)
         history.append(gain)
         if gain > best_gain:
             best_gain, best_h = gain, h

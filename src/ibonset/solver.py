@@ -12,10 +12,11 @@ extrapolated step is accepted only when it keeps that property.
 
 The exactly uniform encoder is a stationary point for every beta, so
 initialization perturbs uniform rows with Dirichlet noise; several restarts
-are run and the best final objective wins.  A sweep over an ascending beta
-grid locates the empirical learnability onset: the first grid point whose
-converged I(X;Z) exceeds the mean plus three standard deviations of the
-lowest grid points (plus a small floor guarding zero deviation).
+are run and the best final objective wins, ties within roundoff going to the
+first restart.  A sweep over an ascending beta grid locates the empirical
+learnability onset: the first grid point whose converged I(X;Z) exceeds the
+mean plus three standard deviations of the lowest grid points (plus a small
+floor guarding zero deviation).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _LOG_TINY = 1e-300
 _LOG_FLOOR = math.log(_LOG_TINY)
 # a sweep point whose free energy rose by more than this is reported
 MONOTONE_TOL = 1e-9
+# restarts whose final objectives lie within this much (relative, floored at
+# an absolute 1) of the lowest are tied, and the lowest index among them wins
+RESTART_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,9 @@ def solve(
     ``(R, |X|, |Z|)`` stack for up to ``max_iters`` map evaluations each,
     stopping when the max-norm change of one plain update of p(z|x) drops
     below ``tol``; the restart with the lowest final objective is returned.
+    Objectives within ``RESTART_TIE_RTOL`` (relative, floored at 1) of the
+    lowest count as tied and the first of them wins, so the choice does not
+    follow roundoff among restarts that reach the same encoder.
     ``init_probs``, when given, is tried as an additional deterministic
     initialization (used for warm starts and stationarity checks; the
     exactly uniform encoder is itself a fixed point, so random perturbation
@@ -207,26 +214,26 @@ def solve(
     probs, iterations, converged, increases = _fixed_point(
         np.stack(inits), joint, beta, max_iters, tol
     )
-    best: Encoder | None = None
-    for start_idx in range(len(inits)):
-        i_xz, i_yz = _information_pair(probs[start_idx], joint)
-        objective = i_xz - beta * i_yz
-        if best is None or objective < best.objective:
-            best = Encoder(
-                probs=probs[start_idx],
-                beta=beta,
-                converged=bool(converged[start_idx]),
-                iterations=int(iterations[start_idx]),
-                objective=objective,
-                diagnostics={
-                    "restart": start_idx,
-                    "restarts_run": len(inits),
-                    "max_objective_increase": float(increases[start_idx]),
-                    "i_xz": i_xz,
-                    "i_yz": i_yz,
-                },
-            )
-    return best
+    pairs = [_information_pair(p, joint) for p in probs]
+    objectives = [i_xz - beta * i_yz for i_xz, i_yz in pairs]
+    lowest = min(objectives)
+    cutoff = lowest + RESTART_TIE_RTOL * max(1.0, abs(lowest))
+    win = next(k for k, obj in enumerate(objectives) if obj <= cutoff)
+    i_xz, i_yz = pairs[win]
+    return Encoder(
+        probs=probs[win],
+        beta=beta,
+        converged=bool(converged[win]),
+        iterations=int(iterations[win]),
+        objective=objectives[win],
+        diagnostics={
+            "restart": win,
+            "restarts_run": len(inits),
+            "max_objective_increase": float(increases[win]),
+            "i_xz": i_xz,
+            "i_yz": i_yz,
+        },
+    )
 
 
 def _fixed_point(

@@ -96,6 +96,16 @@ def test_training_reduces_loss():
     assert model.history[-1] <= model.history[0]
 
 
+def test_history_ends_with_full_data_loss_of_final_params():
+    samples = sample(noise_preset(0.2), 500, seed=3)
+    model = fit(samples, TrainConfig(epochs=5, seed=2))
+    x = (samples.points - model.input_mean) / model.input_std
+    loss, _, _ = loss_and_gradients(
+        model.weights, model.biases, x, samples.observed_labels
+    )
+    assert model.history[-1] == loss
+
+
 def test_single_class_rejected():
     points = np.random.default_rng(0).standard_normal((50, 2))
     labels = np.zeros(50, dtype=int)

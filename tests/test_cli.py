@@ -276,3 +276,22 @@ def test_round_trip_preserves_estimates(tmp_path):
     assert _read_json(out)["estimates"][0]["value"] == pytest.approx(
         direct, rel=1e-12
     )
+
+
+def test_estimate_functional_converges_on_weighted_table(tmp_path):
+    # the descent must reach 1/rho^2 on a real-sized table, not stall at
+    # its iteration cap
+    rng = np.random.default_rng(0)
+    rows = rng.dirichlet(np.ones(4), size=1000)
+    weights = rng.gamma(2.0, size=1000)
+    path = tmp_path / "cond.csv"
+    save_conditional_csv(ConditionalMatrix(rows, weights / weights.sum()), path)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--cond", str(path), "--method", "functional,maxcorr",
+                 "--out", str(out)]) == 0
+    by_method = {e["method"]: e for e in _read_json(out)["estimates"]}
+    functional = by_method["functional"]
+    assert functional["diagnostics"]["converged"] is True
+    assert functional["value"] == pytest.approx(
+        by_method["max_correlation_inverse"]["value"], rel=1e-9
+    )

@@ -376,6 +376,39 @@ def test_minimize_beta_non_convergence_warns():
     assert "warning" in est.diagnostics
 
 
+def _weighted_table(n, c, seed, tiny_share=0.0):
+    # Dirichlet(1) label rows and Gamma(2) example weights, a share of the
+    # weights scaled down to 1e-12
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(c), size=n)
+    weights = rng.gamma(2.0, size=n)
+    weights[rng.choice(n, int(tiny_share * n), replace=False)] *= 1e-12
+    return joint_from_conditional(ConditionalMatrix(rows, weights / weights.sum()))
+
+
+@pytest.mark.parametrize("tiny_share", [0.0, 0.1])
+def test_minimize_beta_converges_on_large_weighted_table(tiny_share):
+    # progress per step must not shrink with the number of rows
+    joint = _weighted_table(3000, 4, seed=0, tiny_share=tiny_share)
+    rho = max_correlation(joint)
+    est = minimize_beta(joint)
+    assert est.diagnostics["converged"]
+    assert est.diagnostics["iterations"] < 2000
+    assert abs(est.value * rho**2 - 1.0) <= 1e-9
+
+
+def test_minimize_beta_svd_scores_are_a_fixed_point(rng):
+    for _ in range(30):
+        n = int(rng.integers(3, 501))
+        c = int(rng.integers(2, 6))
+        joint = DiscreteJoint(rng.dirichlet(np.ones(n * c)).reshape(n, c))
+        exact = max_correlation_beta(joint)
+        est = minimize_beta(joint, init_scores=exact.scores)
+        assert est.diagnostics["converged"]
+        assert est.diagnostics["iterations"] == 50 + 1  # conv_window + 1
+        assert est.value == pytest.approx(exact.value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # maximum correlation
 # ---------------------------------------------------------------------------

@@ -276,11 +276,27 @@ def test_stacked_restarts_equal_solo_runs():
         ]
         assert len({s.iterations for s in solos}) > 1
         winner = solos[enc.diagnostics["restart"]]
-        assert enc.diagnostics["restart"] == int(np.argmin([s.objective for s in solos]))
+        objectives = [s.objective for s in solos]
+        cutoff = min(objectives) + 1e-12 * max(1.0, abs(min(objectives)))
+        tied = [k for k, obj in enumerate(objectives) if obj <= cutoff]
+        assert enc.diagnostics["restart"] == tied[0]
         assert enc.diagnostics["restarts_run"] == 5
         np.testing.assert_array_equal(enc.probs, winner.probs)
         assert enc.iterations == winner.iterations
         assert enc.objective == winner.objective
+
+
+def test_restart_choice_stable_under_last_bit_changes():
+    # restarts reaching the same encoder differ in the objective only by
+    # roundoff, which must not decide the winner
+    joint = discretize(noise_preset(0.2))
+    scaled = joint.probs * (1.0 + 1e-15)
+    nudged = DiscreteJoint(scaled / scaled.sum())
+    assert not np.array_equal(nudged.probs, joint.probs)
+    betas = np.geomspace(1.5, 4.5, 9)
+    base = sweep(joint, betas, seed=0)
+    again = sweep(nudged, betas, seed=0)
+    assert [p.restart for p in again.points] == [p.restart for p in base.points]
 
 
 def test_sweep_monotone_on_every_point():
