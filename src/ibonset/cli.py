@@ -522,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--warm-start", dest="warm_start", action="store_const", const=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="solve the grid points in this many processes (rarely faster: "
+                        "the solver runs on the distinct rows of p(y|x))")
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--out-json", dest="out_json")
 

@@ -162,9 +162,9 @@ def solve(
 
     ``restarts`` random initializations (Dirichlet-perturbed uniform rows,
     concentration ``init_concentration``) are iterated together as one
-    ``(R, |X|, |Z|)`` stack for up to ``max_iters`` map evaluations each,
-    stopping when the max-norm change of one plain update of p(z|x) drops
-    below ``tol``; the restart with the lowest final objective is returned.
+    ``(R, |T|, |Z|)`` stack (T the distinct rows of p(y|x), see below) for
+    up to ``max_iters`` map evaluations each, stopping when the max-norm
+    change of one plain update of p(z|x) drops below ``tol``; the restart with the lowest final objective is returned.
     Objectives within ``RESTART_TIE_RTOL`` (relative, floored at 1) of the
     lowest count as tied and the first of them wins, so the choice does not
     follow roundoff among restarts that reach the same encoder.
@@ -180,11 +180,23 @@ def solve(
     energy never rises along the accepted iterates.  This removes the
     critical slowing down of plain iteration next to a transition.
 
+    The update sees x only through the row p(y|x), so the kernel runs on
+    the distinct rows t of p(y|x) (bitwise equality; nearly equal rows are
+    a different problem and stay apart) with p(t, y) the summed mass of
+    their x.  This is exact: an encoder equal on the rows of each t has the
+    same I(X;Z) = I(T;Z), I(Y;Z) and free energy on both tables, and every
+    update produces such an encoder.  Each initialization, still drawn on
+    all |X| rows, enters as its p(x)-weighted mean over the rows of each t;
+    one plain update of the unmerged iteration reaches the same point, so
+    only the first extrapolation differs.  ``probs`` has all |X| rows, the
+    rows of one t being copies.
+
     Non-convergence is not an error: the best iterate comes back with
     ``converged=False``.  ``diagnostics`` holds the winning ``restart``
     index, ``restarts_run``, the largest free-energy rise between accepted
-    updates (``max_objective_increase``) and the winner's information pair
-    (``i_xz``, ``i_yz``).
+    updates (``max_objective_increase``), the winner's information pair
+    (``i_xz``, ``i_yz``) and the number of rows the kernel ran on
+    (``distinct_rows``).
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValidationError(f"beta must be positive, got {beta!r}")
@@ -211,17 +223,23 @@ def solve(
     if not inits:
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
+    merged, group = _merge_rows(joint)
+    p_x = joint.probs.sum(axis=1)
+    start = np.zeros((len(inits), merged.shape[0], z_card))
+    np.add.at(start, (slice(None), group), np.stack(inits) * p_x[:, None])
+    start /= np.bincount(group, weights=p_x)[:, None]
+
     probs, iterations, converged, increases = _fixed_point(
-        np.stack(inits), joint, beta, max_iters, tol
+        start, merged, beta, max_iters, tol
     )
-    pairs = [_information_pair(p, joint) for p in probs]
+    pairs = [_information_pair(p, merged) for p in probs]
     objectives = [i_xz - beta * i_yz for i_xz, i_yz in pairs]
     lowest = min(objectives)
     cutoff = lowest + RESTART_TIE_RTOL * max(1.0, abs(lowest))
     win = next(k for k, obj in enumerate(objectives) if obj <= cutoff)
     i_xz, i_yz = pairs[win]
     return Encoder(
-        probs=probs[win],
+        probs=probs[win][group],
         beta=beta,
         converged=bool(converged[win]),
         iterations=int(iterations[win]),
@@ -232,8 +250,19 @@ def solve(
             "max_objective_increase": float(increases[win]),
             "i_xz": i_xz,
             "i_yz": i_yz,
+            "distinct_rows": merged.shape[0],
         },
     )
+
+
+def _merge_rows(joint: DiscreteJoint) -> tuple[DiscreteJoint, np.ndarray]:
+    """Joint p(t, y) over the distinct rows t of p(y|x), and t(x) per row x."""
+    p_x = joint.probs.sum(axis=1)
+    _, group = np.unique(joint.probs / p_x[:, None], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    merged = np.zeros((group.max() + 1, joint.shape[1]))
+    np.add.at(merged, group, joint.probs)
+    return DiscreteJoint(merged), group
 
 
 def _fixed_point(
@@ -410,10 +439,17 @@ def sweep(
 
     Each beta is solved independently with its own derived seed, so the
     result is identical whether points run serially or across ``workers``
-    processes.  ``warm_start`` instead anneals from the top of the grid
-    downward, feeding each solution as an extra initialization to the next
-    lower beta; this can change which local optimum is reached and is off
-    by default.
+    processes.  Since :func:`solve` runs on the distinct rows of p(y|x),
+    a serial sweep of a table with many equal rows is about as fast as a
+    pool of two workers.  ``warm_start`` instead anneals from the top of
+    the grid downward, feeding each solution as an extra initialization to
+    the next lower beta; this can change which local optimum is reached
+    and is off by default.
+
+    ``protocol`` records the detection band, the solver settings, the
+    points whose free energy rose (``non_monotone_betas``), the rows the
+    kernel ran on (``distinct_rows``) and the grid beta whose point took
+    the most solver iterations, the first on ties (``slowdown_peak_beta``).
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or len(betas) < 7:
@@ -475,6 +511,10 @@ def sweep(
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],
+        "distinct_rows": _merge_rows(joint)[0].shape[0],
+        # first of the points with the most solver iterations: where the
+        # iteration slows down most, next to a transition
+        "slowdown_peak_beta": points[int(np.argmax([p.iterations for p in points]))].beta,
     }
     return SweepResult(points=tuple(points), detected_beta0=detected, protocol=protocol)
 

@@ -310,3 +310,73 @@ def test_sweep_monotone_on_every_point():
     row = result.to_dict()["points"][0]
     assert {"iterations", "restart", "max_objective_increase"} <= set(row)
 
+
+
+def split_first_row(joint):
+    """``joint`` with its first row split in two halves: the two rows have
+    bitwise equal p(y|x), so they describe the same problem."""
+    probs = joint.probs
+    split = DiscreteJoint(np.vstack([probs[:1] / 2.0, probs[:1] / 2.0, probs[1:]]))
+    p_yx = split.probs / split.probs.sum(axis=1, keepdims=True)
+    assert np.array_equal(p_yx[0], p_yx[1])
+    return split
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.5])  # below and above beta0 = 2.78
+def test_equal_rows_are_solved_as_one(beta):
+    joint = two_cluster_joint(0.2)
+    split = split_first_row(joint)
+    whole = solve(joint, beta, 2, seed=1)
+    enc = solve(split, beta, 2, seed=1)
+    assert enc.diagnostics["distinct_rows"] == 2
+    assert enc.probs.shape == (3, 2)
+    np.testing.assert_array_equal(enc.probs[0], enc.probs[1])
+    assert enc.objective == pytest.approx(whole.objective, abs=1e-9)
+    for key in ("i_xz", "i_yz"):
+        assert enc.diagnostics[key] == pytest.approx(whole.diagnostics[key], abs=1e-9)
+    pair = (enc.diagnostics["i_xz"], enc.diagnostics["i_yz"])
+    assert pair == pytest.approx(info_plane(enc, split), abs=1e-12)
+
+
+def test_sweep_onset_unchanged_by_equal_rows():
+    joint = two_cluster_joint(0.2)
+    grid = np.geomspace(1.5, 4.5, 13)
+    whole = sweep(joint, grid, 2, seed=0)
+    split = sweep(split_first_row(joint), grid, 2, seed=0)
+    assert whole.detected_beta0 is not None
+    assert split.detected_beta0 == whole.detected_beta0
+    assert (whole.protocol["distinct_rows"], split.protocol["distinct_rows"]) == (2, 2)
+
+
+def test_rows_one_ulp_apart_are_not_merged():
+    split = split_first_row(two_cluster_joint(0.2))
+    probs = split.probs.copy()
+    probs[1, 0] = np.nextafter(probs[1, 0], 1.0)
+    nudged = DiscreteJoint(probs)
+    p_yx = nudged.probs / nudged.probs.sum(axis=1, keepdims=True)
+    assert not np.array_equal(p_yx[0], p_yx[1])
+    assert np.abs(p_yx[0] - p_yx[1]).max() < 1e-15
+    enc = solve(nudged, 3.5, 2, seed=1)
+    assert enc.diagnostics["distinct_rows"] == 3
+    pair = (enc.diagnostics["i_xz"], enc.diagnostics["i_yz"])
+    assert pair == pytest.approx(info_plane(enc, nudged), abs=1e-12)
+
+
+def test_converged_encoder_stays_fixed_through_the_row_merge():
+    # noise-0.2 has 4 distinct rows among 556, so init_probs is projected
+    # onto them; a converged encoder must survive that as a fixed point
+    joint = discretize(noise_preset(0.2))
+    enc = solve(joint, 3.5, seed=0)
+    assert enc.converged and enc.diagnostics["distinct_rows"] < joint.shape[0]
+    again = solve(joint, 3.5, init_probs=enc.probs, restarts=0)
+    assert again.converged and again.iterations == 1
+    np.testing.assert_allclose(again.probs, enc.probs, rtol=0.0, atol=1e-10)
+    assert again.objective == pytest.approx(enc.objective, abs=1e-12)
+
+
+def test_sweep_reports_slowdown_peak():
+    result = sweep(discretize(noise_preset(0.2)), np.geomspace(1.5, 4.5, 9), seed=0)
+    iterations = [p.iterations for p in result.points]
+    peak = result.protocol["slowdown_peak_beta"]
+    assert peak == result.points[iterations.index(max(iterations))].beta
+    assert result.protocol["distinct_rows"] == 4
