@@ -252,17 +252,12 @@ def _format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def save_conditional_csv(
-    cond: ConditionalMatrix, path, class_names: list[str] | None = None
-) -> None:
-    """Write a conditional table as CSV: one class column per label plus a
-    trailing ``weight`` column."""
-    names = class_names or [f"y{j}" for j in range(cond.num_classes)]
-    if len(names) != cond.num_classes:
-        raise ValidationError("class_names length does not match table columns")
+def save_conditional_csv(cond: ConditionalMatrix, path) -> None:
+    """Write a conditional table as CSV: one class column ``y<j>`` per label
+    plus a trailing ``weight`` column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*names, "weight"])
+        writer.writerow([*(f"y{j}" for j in range(cond.num_classes)), "weight"])
         for row, w in zip(cond.rows, cond.weights):
             writer.writerow([*(_format_float(v) for v in row), _format_float(w)])
 

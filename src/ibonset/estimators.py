@@ -9,8 +9,8 @@ non-trivial encoder:
 * ``class_conditional_beta``: closed form when label noise depends only on
   the true class.
 * ``beta_for_scores`` / ``minimize_beta``: the variance-ratio functional of
-  an arbitrary per-example score vector, and its projected-gradient
-  minimization.
+  an arbitrary per-example score vector, and its minimization by power
+  iteration.
 * ``max_correlation``: the second singular value of the normalized joint
   table; its squared inverse equals the functional's infimum.
 
@@ -45,6 +45,10 @@ _RANGE_SCAN_LIMIT = 1 << 18
 #: thresholds may dip this far below 1 from floating-point roundoff
 _BETA_SLACK = 1e-9
 
+#: minimize_beta has converged when its value changed by at most conv_rtol
+#: (relative) over this many steps
+_CONV_WINDOW = 50
+
 
 class Method(str, enum.Enum):
     """How a threshold estimate was produced."""
@@ -53,7 +57,6 @@ class Method(str, enum.Enum):
     CLASS_CONDITIONAL = "class_conditional"
     FUNCTIONAL = "functional"
     MAX_CORRELATION_INVERSE = "max_correlation_inverse"
-    EMPIRICAL_SWEEP = "empirical_sweep"
     INFO_DENSITY = "info_density"
 
 
@@ -91,14 +94,6 @@ class SubsetResult:
         }
 
 
-_THEORETICAL = frozenset({
-    Method.SUBSET_SEARCH,
-    Method.CLASS_CONDITIONAL,
-    Method.FUNCTIONAL,
-    Method.MAX_CORRELATION_INVERSE,
-})
-
-
 @dataclass(frozen=True)
 class BetaEstimate:
     """A threshold value with its method tag and diagnostics."""
@@ -110,7 +105,7 @@ class BetaEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method in _THEORETICAL and self.value < 1.0 - _BETA_SLACK:
+        if self.method is not Method.INFO_DENSITY and self.value < 1.0 - _BETA_SLACK:
             raise ValidationError(
                 f"{self.method.value} produced threshold {self.value!r} below 1"
             )
@@ -427,31 +422,25 @@ def minimize_beta(
     joint: DiscreteJoint,
     *,
     iters: int = 30_000,
-    lr: float = 0.5,
     seed: int = 0,
-    conv_window: int = 50,
     conv_rtol: float = 1e-12,
     init_scores=None,
 ) -> BetaEstimate:
-    """Minimize the score-vector threshold by projected gradient descent.
+    """Minimize the score-vector threshold by power iteration.
 
-    Runs gradient descent on the log of the ratio from a random
-    non-constant start; the ratio is affine-invariant, so after every step
-    the scores are re-centered to weighted mean 0 and variance 1 under
-    p(x).  The gradient is taken in the same p(x)-weighted metric, so the
-    step size does not shrink with the number of rows.  At the default
-    ``lr = 0.5`` one step is exactly a power step on D^-1 M (D = diag p(x),
-    M as below) in the centered subspace: the value never rises and
-    approaches 1/rho^2 at rate (sigma_3/sigma_2)^2 per step, where sigma_k
-    is the k-th singular value of the normalized joint (sigma_2 = rho).
-    A smaller ``lr`` moves only part of the way to the power step;
-    ``lr > 0.5`` goes past it and may overshoot.  Convergence is declared
-    when the value's relative change over ``conv_window`` steps drops below
+    From a random non-constant start (or ``init_scores``), each step maps
+    the scores h to D^-1 M h (D = diag p(x), M as below) and re-centers
+    them to weighted mean 0 and variance 1 under p(x).  This is the
+    gradient step of size 1/2 on the log of the ratio in the p(x) metric:
+    the value never rises and approaches 1/rho^2 at rate
+    (sigma_3/sigma_2)^2 per step, sigma_k the k-th singular value of the
+    normalized joint (sigma_2 = rho).  Convergence is declared when the
+    value's relative change over ``_CONV_WINDOW`` steps drops below
     ``conv_rtol``; otherwise the best iterate is returned with a warning in
     the diagnostics.
 
     The result matches 1/max_correlation^2; the singular-value route is
-    the exact minimizer and this descent cross-validates it.
+    the exact minimizer and this iteration cross-validates it.
     """
     if joint.shape[0] < 2:
         raise ValidationError("need at least two x values to define a direction")
@@ -496,15 +485,13 @@ def minimize_beta(
     converged = False
     iterations = 0
     for iterations in range(1, iters + 1):
-        # gradient of log(Var/gain) at unit variance, in the p(x) metric
-        grad = 2.0 * h - 2.0 * (p_y_given_x @ means) / gain
-        h = project(h - lr * grad)
+        h = project(p_y_given_x @ means)
         gain, means = label_means(h)
         history.append(gain)
         if gain > best_gain:
             best_gain, best_h = gain, h
-        if iterations > conv_window:
-            prev = history[-conv_window - 1]
+        if iterations > _CONV_WINDOW:
+            prev = history[-_CONV_WINDOW - 1]
             if abs(gain - prev) <= conv_rtol * abs(gain):
                 converged = True
                 break
@@ -513,7 +500,6 @@ def minimize_beta(
         "converged": converged,
         "iterations": iterations,
         "seed": seed,
-        "lr": lr,
     }
     if not converged:
         diagnostics["warning"] = (

@@ -14,9 +14,8 @@ The exactly uniform encoder is a stationary point for every beta, so
 initialization perturbs uniform rows with Dirichlet noise; several restarts
 are run and the best final objective wins, ties within roundoff going to the
 first restart.  A sweep over an ascending beta grid locates the empirical
-learnability onset: the first grid point whose converged I(X;Z) exceeds the
-mean plus three standard deviations of the lowest grid points (plus a small
-floor guarding zero deviation).
+learnability onset: the first grid point whose converged I(X;Z) escapes the
+noise band of the lowest grid points (see :func:`detect_onset`).
 """
 
 from __future__ import annotations
@@ -38,6 +37,14 @@ MONOTONE_TOL = 1e-9
 # restarts whose final objectives lie within this much (relative, floored at
 # an absolute 1) of the lowest are tied, and the lowest index among them wins
 RESTART_TIE_RTOL = 1e-12
+# an encoder whose one-update max-norm change is below this has converged
+CONVERGENCE_TOL = 1e-10
+# Dirichlet concentration of the perturbed-uniform initial rows
+INIT_CONCENTRATION = 10.0
+# the onset band of detect_onset
+ONSET_BASELINE_POINTS = 5
+ONSET_SIGMAS = 3.0
+ONSET_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,15 +160,14 @@ def solve(
     *,
     seed=0,
     max_iters: int = 5000,
-    tol: float = 1e-10,
+    tol: float = CONVERGENCE_TOL,
     restarts: int = 5,
-    init_concentration: float = 10.0,
     init_probs: np.ndarray | None = None,
 ) -> Encoder:
     """Iterate the self-consistent equations to a fixed point at one beta.
 
     ``restarts`` random initializations (Dirichlet-perturbed uniform rows,
-    concentration ``init_concentration``) are iterated together as one
+    concentration ``INIT_CONCENTRATION``) are iterated together as one
     ``(R, |T|, |Z|)`` stack (T the distinct rows of p(y|x), see below) for
     up to ``max_iters`` map evaluations each, stopping when the max-norm
     change of one plain update of p(z|x) drops below ``tol``; the restart with the lowest final objective is returned.
@@ -219,7 +225,7 @@ def solve(
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for child in seq.spawn(restarts):
         rng = np.random.default_rng(child)
-        inits.append(rng.dirichlet(np.full(z_card, init_concentration), size=n_x))
+        inits.append(rng.dirichlet(np.full(z_card, INIT_CONCENTRATION), size=n_x))
     if not inits:
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
@@ -379,31 +385,23 @@ def _sweep_point(beta: float, enc: Encoder) -> SweepPoint:
 
 
 def _sweep_task(args) -> SweepPoint:
-    joint, beta, z_card, seed, max_iters, tol, restarts = args
-    enc = solve(
-        joint, beta, z_card, seed=seed, max_iters=max_iters, tol=tol, restarts=restarts
-    )
+    joint, beta, z_card, seed, max_iters, restarts = args
+    enc = solve(joint, beta, z_card, seed=seed, max_iters=max_iters, restarts=restarts)
     return _sweep_point(beta, enc)
 
 
-def detect_onset(
-    betas: np.ndarray,
-    i_xz_values: np.ndarray,
-    *,
-    baseline_points: int = 5,
-    sigma_multiplier: float = 3.0,
-    floor: float = 1e-6,
-) -> tuple[float | None, dict]:
+def detect_onset(betas: np.ndarray, i_xz_values: np.ndarray) -> tuple[float | None, dict]:
     """First beta where I(X;Z) escapes the low-beta noise band.
 
-    The band is the mean plus ``sigma_multiplier`` standard deviations of
-    the ``baseline_points`` lowest grid points; ``floor`` (in nats) guards
-    a zero standard deviation.  The onset is reported as the midpoint of
-    the first escaping beta and its predecessor.
+    The band is the mean plus ``ONSET_SIGMAS`` standard deviations of the
+    ``ONSET_BASELINE_POINTS`` lowest grid points; ``ONSET_FLOOR`` (in nats)
+    guards a zero standard deviation.  The onset is reported as the
+    midpoint of the first escaping beta and its predecessor.
     """
-    mu = float(np.mean(i_xz_values[:baseline_points]))
-    sigma = float(np.std(i_xz_values[:baseline_points]))
-    threshold = mu + sigma_multiplier * sigma + floor
+    baseline = i_xz_values[:ONSET_BASELINE_POINTS]
+    mu = float(np.mean(baseline))
+    sigma = float(np.std(baseline))
+    threshold = mu + ONSET_SIGMAS * sigma + ONSET_FLOOR
     detected = None
     for i in range(1, len(betas)):
         if i_xz_values[i] > threshold:
@@ -413,9 +411,9 @@ def detect_onset(
         "baseline_mean": mu,
         "baseline_std": sigma,
         "threshold": threshold,
-        "baseline_points": baseline_points,
-        "sigma_multiplier": sigma_multiplier,
-        "floor": floor,
+        "baseline_points": ONSET_BASELINE_POINTS,
+        "sigma_multiplier": ONSET_SIGMAS,
+        "floor": ONSET_FLOOR,
     }
     return detected, stats
 
@@ -427,11 +425,7 @@ def sweep(
     *,
     seed=0,
     max_iters: int = 5000,
-    tol: float = 1e-10,
     restarts: int = 5,
-    baseline_points: int = 5,
-    sigma_multiplier: float = 3.0,
-    detection_floor: float = 1e-6,
     warm_start: bool = False,
     workers: int | None = None,
 ) -> SweepResult:
@@ -452,10 +446,10 @@ def sweep(
     the most solver iterations, the first on ties (``slowdown_peak_beta``).
     """
     betas = np.asarray(beta_grid, dtype=float)
-    if betas.ndim != 1 or len(betas) < 7:
-        raise ValidationError("beta grid must be one-dimensional with >= 7 points")
-    if len(betas) < baseline_points + 2:
-        raise ValidationError("beta grid too short for the onset baseline")
+    if betas.ndim != 1 or len(betas) < ONSET_BASELINE_POINTS + 2:
+        raise ValidationError(
+            f"beta grid must be one-dimensional with >= {ONSET_BASELINE_POINTS + 2} points"
+        )
     if np.any(np.diff(betas) <= 0.0):
         raise ValidationError("beta grid must be strictly ascending")
     if z_card is None:
@@ -475,7 +469,6 @@ def sweep(
                 z_card,
                 seed=child,
                 max_iters=max_iters,
-                tol=tol,
                 restarts=restarts,
                 init_probs=prev,
             )
@@ -484,7 +477,7 @@ def sweep(
         points = points_rev[::-1]
     else:
         tasks = [
-            (joint, float(beta), z_card, child, max_iters, tol, restarts)
+            (joint, float(beta), z_card, child, max_iters, restarts)
             for beta, child in zip(betas, children)
         ]
         if workers and workers > 1:
@@ -493,20 +486,13 @@ def sweep(
         else:
             points = [_sweep_task(t) for t in tasks]
 
-    i_xz_values = np.array([p.i_xz for p in points])
-    detected, stats = detect_onset(
-        betas,
-        i_xz_values,
-        baseline_points=baseline_points,
-        sigma_multiplier=sigma_multiplier,
-        floor=detection_floor,
-    )
+    detected, stats = detect_onset(betas, np.array([p.i_xz for p in points]))
     protocol = {
         **stats,
         "z_card": z_card,
         "restarts": restarts,
         "max_iters": max_iters,
-        "tol": tol,
+        "tol": CONVERGENCE_TOL,
         "warm_start": warm_start,
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL

@@ -259,16 +259,23 @@ def analytic_posterior(spec: MixtureSpec, points) -> ConditionalMatrix:
     return ConditionalMatrix(rows)
 
 
-def default_box(spec: MixtureSpec, sigmas: float = 4.0) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Axis-aligned box reaching ``sigmas`` standard deviations beyond the
-    extreme component means."""
+#: the default box reaches this many standard deviations beyond the means
+BOX_SIGMAS = 4.0
+
+#: grid cells holding at most this share of the total mass are dropped
+MASS_FLOOR = 1e-12
+
+
+def default_box(spec: MixtureSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Axis-aligned box reaching ``BOX_SIGMAS`` standard deviations beyond
+    the extreme component means."""
     lo = [float("inf"), float("inf")]
     hi = [-float("inf"), -float("inf")]
     for c in spec.components:
         for ax in range(2):
             s = np.sqrt(c.variances[ax])
-            lo[ax] = min(lo[ax], c.mean[ax] - sigmas * s)
-            hi[ax] = max(hi[ax], c.mean[ax] + sigmas * s)
+            lo[ax] = min(lo[ax], c.mean[ax] - BOX_SIGMAS * s)
+            hi[ax] = max(hi[ax], c.mean[ax] + BOX_SIGMAS * s)
     return (lo[0], hi[0]), (lo[1], hi[1])
 
 
@@ -276,8 +283,6 @@ def discretize(
     source,
     bins_per_axis: int = 32,
     box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    *,
-    mass_floor: float = 1e-12,
 ) -> DiscreteJoint:
     """Reduce a mixture spec or a sample set to a finite joint table.
 
@@ -285,7 +290,7 @@ def discretize(
     :class:`MixtureSpec` the cell masses are exact (products of per-axis
     Gaussian CDF differences, composed with the confusion table); for a
     :class:`SampleSet` they are counts of (cell, observed label) pairs.
-    Cells holding at most ``mass_floor`` of the total mass are dropped and
+    Cells holding at most ``MASS_FLOOR`` of the total mass are dropped and
     the table renormalized.
 
     Raises when all mass (or every sample) falls outside the box.
@@ -293,9 +298,9 @@ def discretize(
     if bins_per_axis < 1:
         raise ValidationError("bins_per_axis must be at least 1")
     if isinstance(source, MixtureSpec):
-        return _discretize_exact(source, bins_per_axis, box, mass_floor)
+        return _discretize_exact(source, bins_per_axis, box)
     if isinstance(source, SampleSet):
-        return _discretize_samples(source, bins_per_axis, box, mass_floor)
+        return _discretize_samples(source, bins_per_axis, box)
     raise ValidationError("source must be a MixtureSpec or a SampleSet")
 
 
@@ -308,7 +313,7 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
 
 
-def _discretize_exact(spec, bins, box, mass_floor) -> DiscreteJoint:
+def _discretize_exact(spec, bins, box) -> DiscreteJoint:
     (x_lo, x_hi), (y_lo, y_hi) = box if box is not None else default_box(spec)
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValidationError("box must have positive extent")
@@ -327,14 +332,14 @@ def _discretize_exact(spec, bins, box, mass_floor) -> DiscreteJoint:
     total = table.sum()
     if total <= 1e-12:
         raise ValidationError("all probability mass falls outside the box")
-    keep = table.sum(axis=1) > mass_floor * total
+    keep = table.sum(axis=1) > MASS_FLOOR * total
     if not keep.any():
         raise ValidationError("no grid cell holds appreciable mass")
     kept = table[keep]
     return DiscreteJoint(kept / kept.sum(), x_labels=_cell_labels(bins, keep))
 
 
-def _discretize_samples(samples, bins, box, mass_floor) -> DiscreteJoint:
+def _discretize_samples(samples, bins, box) -> DiscreteJoint:
     pts = samples.points
     if box is None:
         box = (
@@ -363,7 +368,7 @@ def _discretize_samples(samples, bins, box, mass_floor) -> DiscreteJoint:
     np.add.at(counts, (cell, labels), 1.0)
 
     total = counts.sum()
-    keep = counts.sum(axis=1) > mass_floor * total
+    keep = counts.sum(axis=1) > MASS_FLOOR * total
     kept = counts[keep]
     return DiscreteJoint(kept / kept.sum(), x_labels=_cell_labels(bins, keep))
 
@@ -391,37 +396,27 @@ def symmetric_flip(rho: float, classes: int = 2) -> np.ndarray:
     return np.full((classes, classes), off) + (1.0 - rho - off) * np.eye(classes)
 
 
-def noise_preset(
-    rho: float,
-    *,
-    distance: float = NOISE_PRESET_DISTANCE,
-    variance: float = PRESET_VARIANCE,
-    weights: tuple[float, float] = (0.5, 0.5),
-    seed: int = 0,
-) -> MixtureSpec:
-    """Two equal Gaussians ``distance`` apart with labels flipped at rate rho."""
+def _pair(distance: float, weights, noise, seed: int) -> MixtureSpec:
+    """Classes 0 and 1 as Gaussians of variance ``PRESET_VARIANCE`` on the
+    first axis, ``distance`` apart."""
     half = distance / 2.0
+    var = (PRESET_VARIANCE, PRESET_VARIANCE)
     comps = (
-        MixtureComponent((-half, 0.0), (variance, variance), weights[0], 0),
-        MixtureComponent((half, 0.0), (variance, variance), weights[1], 1),
+        MixtureComponent((-half, 0.0), var, weights[0], 0),
+        MixtureComponent((half, 0.0), var, weights[1], 1),
     )
-    return MixtureSpec(comps, symmetric_flip(rho), seed)
+    return MixtureSpec(comps, noise, seed)
 
 
-def overlap_preset(
-    distance: float,
-    *,
-    variance: float = PRESET_VARIANCE,
-    weights: tuple[float, float] = OVERLAP_PRESET_WEIGHTS,
-    seed: int = 0,
-) -> MixtureSpec:
+def noise_preset(rho: float, *, seed: int = 0) -> MixtureSpec:
+    """Two equal Gaussians ``NOISE_PRESET_DISTANCE`` apart with labels
+    flipped at rate rho."""
+    return _pair(NOISE_PRESET_DISTANCE, (0.5, 0.5), symmetric_flip(rho), seed)
+
+
+def overlap_preset(distance: float, *, seed: int = 0) -> MixtureSpec:
     """Two unequal-weight Gaussians ``distance`` apart with exact labels."""
-    half = distance / 2.0
-    comps = (
-        MixtureComponent((-half, 0.0), (variance, variance), weights[0], 0),
-        MixtureComponent((half, 0.0), (variance, variance), weights[1], 1),
-    )
-    return MixtureSpec(comps, None, seed)
+    return _pair(distance, OVERLAP_PRESET_WEIGHTS, None, seed)
 
 
 def get_preset(name: str, seed: int = 0) -> MixtureSpec:

@@ -16,7 +16,7 @@ from ibonset import (
     save_joint_csv,
     solver,
 )
-from ibonset.cli import main
+from ibonset.cli import _COMMANDS, _build_config, build_parser, main
 
 TWO_CLUSTER_BETA = 1.0 / 0.36
 
@@ -78,6 +78,67 @@ def test_estimate_config_file_with_unknown_key(tmp_path):
     for key in ("surprise", "tolerance"):
         cfg.write_text(json.dumps({"preset": "noise-0.2", key: 1}))
         assert main(["estimate", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", {"warm_start": "false"}),
+    ("sweep", {"restarts": 2.7}),
+    ("table", {"beta_points": True}),
+])
+def test_config_document_values_are_not_coerced(tmp_path, capsys, command, doc):
+    # each of these ran to exit 0 when values were coerced: "false" turned
+    # warm start on, 2.7 restarts became 2, and true beta points became 1
+    inputs = {
+        "sweep": {"preset": "noise-0.2", "beta_points": 7,
+                  "out_csv": str(tmp_path / "s.csv"), "out_json": str(tmp_path / "s.json")},
+        "table": {"rates": [0.2], "out": str(tmp_path / "t.json")},
+    }[command]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**inputs, **doc}))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"bad value for {next(iter(doc))!r}" in capsys.readouterr().err
+
+
+def _non_default(kind, default):
+    """A value of ``kind`` other than ``default``: (flag argv, document value)."""
+    if kind is bool:
+        return [], True
+    if isinstance(kind, tuple):
+        value = next(v for v in kind if v != default)
+    else:
+        # integral numbers: a float option takes any JSON number
+        value = {str: "other", int: 7, float: 2, list: [0, 0.3]}[kind]
+    text = ",".join(map(str, value)) if kind is list else str(value)
+    return [text], value
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, options) in _COMMANDS.items() for key in options
+])
+def test_flag_and_config_document_give_the_same_config(tmp_path, command, key):
+    kind, default, _ = _COMMANDS[command][2][key]
+    argv, value = _non_default(kind, default)
+    parser = build_parser()
+
+    def values(extra):
+        args = vars(parser.parse_args([command, *extra]))
+        del args["command"], args["config"]
+        return args
+
+    flag = "--" + key.replace("_", "-")
+    from_flag = _build_config(command, values([flag, *argv]), None)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_doc = _build_config(command, values([]), str(cfg))
+    # compared as JSON too, as the reports write them: 2 is not 2.0 there
+    assert json.dumps(from_flag) == json.dumps(from_doc)
+    assert from_flag[key] == value != default
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parser_dests_are_the_option_table(command):
+    dests = set(vars(build_parser().parse_args([command])))
+    assert dests == set(_COMMANDS[command][2]) | {"command", "config"}
 
 
 def test_estimate_rejects_tolerance_flag():

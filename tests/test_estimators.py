@@ -362,10 +362,9 @@ def test_minimize_beta_matches_svd_inverse(rng):
 
 
 def test_minimize_beta_scores_belong_to_value():
-    # a step too large for this table makes later iterates worse than the
-    # start, so the best iterate is not the last one
+    # cut off before convergence, the reported scores still certify the value
     joint = DiscreteJoint([[0.3, 0.1], [0.1, 0.2], [0.05, 0.25]])
-    est = minimize_beta(joint, iters=10, lr=5.0, seed=1)
+    est = minimize_beta(joint, iters=10, seed=1)
     assert not est.diagnostics["converged"]
     assert beta_for_scores(joint, est.scores) == pytest.approx(est.value, rel=1e-12)
 
