@@ -1,13 +1,21 @@
 """Small feed-forward network for estimating p(y|x) from labeled samples.
 
-Pure numpy, trained by mini-batch gradient descent on mean cross-entropy,
-fully deterministic given a seed.  Inputs are standardized with statistics
-frozen at fit time; predictions are softmax rows, so they plug straight
-into the subset-search estimator as a learned conditional table.
+Pure numpy, trained by plain mini-batch SGD on mean cross-entropy, fully
+deterministic given a seed.  Inputs are standardized with statistics frozen
+at fit time; predictions are softmax rows, so they plug straight into the
+subset-search estimator as a learned conditional table.
+
+The training step does less work than the straightforward loop (one
+shuffled copy of the data per epoch, one-hot targets, no per-step loss,
+column-wise softmax reductions, in-place updates) but rounds exactly as it
+does: for fewer than 8 classes the trained weights, biases, loss history
+and predictions are bit for bit those of that loop.  From 8 classes up,
+numpy's pairwise row sums make the last bit differ.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -57,15 +65,26 @@ def _forward(weights, biases, x):
     activations = [x]
     h = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
+        # bias and ReLU written into the matmul's fresh result
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    logits = h @ weights[-1] + biases[-1]
+    logits = h @ weights[-1]
+    logits += biases[-1]
     return logits, activations
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # Row max and row sum taken column by column: on the narrow rows of
+    # class logits, numpy's axis=1 reductions cost many times the
+    # elementwise ops.  Below 8 columns numpy sums a row left to right, as
+    # this does, so the result is bitwise the same; from 8 columns up numpy
+    # sums pairwise and the last bit may differ.
+    top = functools.reduce(np.maximum, logits.T)
+    shifted = logits - top[:, None]
+    total = functools.reduce(np.add, np.exp(shifted).T)
+    return shifted - np.log(total)[:, None]
 
 
 def _cross_entropy(log_probs, labels):
@@ -77,31 +96,41 @@ def _loss(weights, biases, x, labels):
     return _cross_entropy(_log_softmax(_forward(weights, biases, x)[0]), labels)
 
 
-def loss_and_gradients(weights, biases, x, labels):
-    """Mean cross-entropy and its exact gradients for one batch."""
+def _backward(weights, biases, x, targets):
+    """One batch's log-probabilities and the exact gradients of its mean
+    cross-entropy against one-hot ``targets``.  Every gradient is a fresh
+    array the caller may scale in place."""
     logits, activations = _forward(weights, biases, x)
     log_probs = _log_softmax(logits)
-    n = len(x)
-    loss = _cross_entropy(log_probs, labels)
-
+    # subtracting 0.0 leaves a probability unchanged, so this rounds as
+    # subtracting 1.0 at each label alone
     delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta -= targets
+    delta /= len(x)
 
-    grads_w = [np.empty_like(w) for w in weights]
-    grads_b = [np.empty_like(b) for b in biases]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
         grads_w[layer] = activations[layer].T @ delta
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
-    return loss, grads_w, grads_b
+            delta = delta @ weights[layer].T
+            delta *= activations[layer] > 0.0
+    return log_probs, grads_w, grads_b
+
+
+def loss_and_gradients(weights, biases, x, labels):
+    """Mean cross-entropy and its exact gradients for one batch."""
+    targets = np.eye(weights[-1].shape[1])[labels]
+    log_probs, grads_w, grads_b = _backward(weights, biases, x, targets)
+    return _cross_entropy(log_probs, labels), grads_w, grads_b
 
 
 def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
-    """Train on the observed labels.  Final loss never exceeds the initial
-    loss at the default learning rate; the per-epoch trail is kept in
-    ``model.history`` (entry 0 is the pre-training loss)."""
+    """Train on the observed labels by plain mini-batch SGD.  Final loss
+    never exceeds the initial loss at the default learning rate; the
+    per-epoch trail of full-data losses is kept in ``model.history``
+    (entry 0 is the pre-training loss)."""
     cfg = config or TrainConfig()
     labels = samples.observed_labels
     classes = np.unique(labels)
@@ -117,17 +146,25 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
     rng = np.random.default_rng(cfg.seed)
     sizes = [x.shape[1], *cfg.hidden, n_classes]
     weights, biases = _init_params(sizes, rng)
+    params = [*weights, *biases]
+    targets = np.eye(n_classes)[labels]
 
     history = [_loss(weights, biases, x, labels)]
     n = len(x)
     for _ in range(cfg.epochs):
+        # one gather per epoch; the batches are row slices of it
         order = rng.permutation(n)
+        x_epoch, targets_epoch = x[order], targets[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_gradients(weights, biases, x[batch], labels[batch])
-            for w, b, dw, db in zip(weights, biases, gw, gb):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
+            stop = start + cfg.batch_size
+            _, gw, gb = _backward(
+                weights, biases, x_epoch[start:stop], targets_epoch[start:stop]
+            )
+            # lr * grad, then the subtraction: the rounding of
+            # ``w -= lr * dw`` without its temporary
+            for param, grad in zip(params, [*gw, *gb]):
+                grad *= cfg.learning_rate
+                param -= grad
         history.append(_loss(weights, biases, x, labels))
 
     return MlpModel(weights, biases, mean, std, cfg, history)

@@ -173,7 +173,7 @@ def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
     prior = spec.class_priors()
     label = config.get("preset") or config.get("spec")
 
-    if config.get("samples"):
+    if config.get("samples") is not None:
         seq = _task_seed(config.get("seed", 0), 0)
         points = synth.sample(spec, config["samples"], seed=seq).points
         cond = synth.analytic_posterior(spec, points)
@@ -387,6 +387,8 @@ def _table_row(rho: float, config) -> dict:
 
 
 def _cmd_table(config) -> int:
+    if not config["rates"]:
+        raise ValidationError("table: rates must list at least one flip rate")
     rows = [_table_row(rho, config) for rho in config["rates"]]
     columns = list(rows[0].keys())
     header = "  ".join(f"{c:>22}" for c in columns)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ibonset import ValidationError, noise_preset, sample, subset_search
+from ibonset import (
+    ConditionalMatrix,
+    ValidationError,
+    noise_preset,
+    sample,
+    subset_search,
+)
 from ibonset.classifier import (
     MlpModel,
     TrainConfig,
@@ -35,6 +41,114 @@ def _finite_difference_grads(weights, biases, x, labels, eps=1e-6):
             flat[i] = keep
             out.ravel()[i] = (up - down) / (2.0 * eps)
     return fd_w, fd_b
+
+
+def _reference_forward(weights, biases, x):
+    activations = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        activations.append(h)
+    return h @ weights[-1] + biases[-1], activations
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_loss_and_gradients(weights, biases, x, labels):
+    """The straightforward step: loss, then backpropagation, in fresh arrays."""
+    logits, activations = _reference_forward(weights, biases, x)
+    log_probs = _reference_log_softmax(logits)
+    n = len(x)
+    loss = -log_probs[np.arange(n), labels].mean()
+    delta = np.exp(log_probs)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
+    return loss, grads_w, grads_b
+
+
+def _reference_fit(samples, cfg):
+    """Plain mini-batch SGD: gather each batch through the permutation,
+    step by ``w -= lr * dw``; returns weights, biases and loss history."""
+    labels = samples.observed_labels
+    mean = samples.points.mean(axis=0)
+    std = samples.points.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    x = (samples.points - mean) / std
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [x.shape[1], *cfg.hidden, int(labels.max()) + 1]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+
+    def full_loss():
+        return _reference_loss_and_gradients(weights, biases, x, labels)[0]
+
+    history = [full_loss()]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, gw, gb = _reference_loss_and_gradients(
+                weights, biases, x[batch], labels[batch]
+            )
+            for w, b, dw, db in zip(weights, biases, gw, gb):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+        history.append(full_loss())
+    return weights, biases, history
+
+
+def _labeled_points(n, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=n)
+    points = rng.standard_normal((n, 2)) + 2.0 * np.stack(
+        [np.cos(labels), np.sin(labels)], axis=1
+    )
+    return SampleSet(points, labels, labels)
+
+
+@pytest.mark.parametrize("samples, cfg", [
+    # 1000 % 128 = 104 and 1000 % 96 = 40: both end on a short batch
+    (sample(noise_preset(0.2), 1000, seed=11), TrainConfig(epochs=6, seed=4)),
+    (_labeled_points(1000, 5, seed=12),
+     TrainConfig(hidden=(16, 8), epochs=4, batch_size=96, seed=5)),
+], ids=["2-classes", "5-classes-2-hidden"])
+def test_fit_is_bitwise_the_reference_loop(samples, cfg):
+    model = fit(samples, cfg)
+    weights, biases, history = _reference_fit(samples, cfg)
+    assert len(model.weights) == len(weights) == len(cfg.hidden) + 1
+    for got, want in [*zip(model.weights, weights), *zip(model.biases, biases)]:
+        assert np.array_equal(got, want)
+    assert model.history == history
+
+    x = (samples.points - model.input_mean) / model.input_std
+    logits, _ = _reference_forward(weights, biases, x)
+    want = ConditionalMatrix(np.exp(_reference_log_softmax(logits)))
+    assert np.array_equal(predict_proba(model, samples.points).rows, want.rows)
+
+
+def test_ten_class_step_matches_reference(rng):
+    # from 8 classes numpy sums a row pairwise, so only the last bits may move
+    x = rng.standard_normal((64, 2))
+    labels = rng.integers(0, 10, size=64)
+    weights = [rng.uniform(-0.7, 0.7, size=(2, 12)), rng.uniform(-0.3, 0.3, size=(12, 10))]
+    biases = [rng.standard_normal(12) * 0.1, rng.standard_normal(10) * 0.1]
+    loss, gw, gb = loss_and_gradients(weights, biases, x, labels)
+    ref_loss, ref_gw, ref_gb = _reference_loss_and_gradients(weights, biases, x, labels)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for got, want in [*zip(gw, ref_gw), *zip(gb, ref_gb)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gradients_match_finite_differences(rng):

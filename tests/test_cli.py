@@ -292,6 +292,30 @@ def test_table_reproduces_closed_form(tmp_path, capsys):
     assert "6.25" in printed and "25.0" in printed
 
 
+def _config_argv(tmp_path, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_table_empty_rates_exits_1(tmp_path, capsys, via):
+    # an empty rate list used to reach rows[0] and die with an IndexError
+    argv = ["--rates", ""] if via == "flag" else _config_argv(tmp_path, {"rates": []})
+    assert main(["table", *argv]) == 1
+    assert "rates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_estimate_zero_samples_exits_1(tmp_path, capsys, via):
+    # 0 used to read as unset: the exact estimates were printed, exit 0
+    argv = ["--samples", "0"] if via == "flag" else _config_argv(tmp_path, {"samples": 0})
+    assert main(["estimate", "--preset", "noise-0.2", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one sample" in captured.err
+
+
 def test_table_optional_columns(tmp_path):
     out = tmp_path / "table.json"
     code = main([
