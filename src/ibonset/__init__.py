@@ -10,7 +10,6 @@ from .dist import (
     joint_from_conditional,
     load_conditional_csv,
     load_joint_csv,
-    marginal,
     mutual_information,
     save_conditional_csv,
     save_joint_csv,
@@ -53,7 +52,6 @@ from .synth import (
     analytic_posterior,
     discretize,
     get_preset,
-    load_samples_csv,
     load_spec_json,
     noise_preset,
     overlap_preset,

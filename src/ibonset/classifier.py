@@ -16,7 +16,6 @@ numpy's pairwise row sums make the last bit differ.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +44,6 @@ class MlpModel:
     input_std: np.ndarray
     config: TrainConfig
     history: list[float] = field(default_factory=list)
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights[-1].shape[1]
 
 
 def _init_params(sizes: list[int], rng: np.random.Generator):
@@ -180,59 +175,3 @@ def predict_proba(model: MlpModel, points) -> ConditionalMatrix:
     logits, _ = _forward(model.weights, model.biases, x)
     return ConditionalMatrix(np.exp(_log_softmax(logits)))
 
-
-def predict_labels(model: MlpModel, points) -> np.ndarray:
-    return np.argmax(predict_proba(model, points).rows, axis=1)
-
-
-def save_model_json(model: MlpModel, path) -> None:
-    doc = {
-        "sizes": [model.weights[0].shape[0]]
-        + [w.shape[1] for w in model.weights],
-        "weights": [w.ravel().tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "input_mean": model.input_mean.tolist(),
-        "input_std": model.input_std.tolist(),
-        "config": {
-            "hidden": list(model.config.hidden),
-            "learning_rate": model.config.learning_rate,
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "seed": model.config.seed,
-        },
-        "history": list(model.history),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_model_json(path) -> MlpModel:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        sizes = doc["sizes"]
-        weights = [
-            np.array(flat, dtype=float).reshape(fan_in, fan_out)
-            for flat, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:])
-        ]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        cfg = TrainConfig(
-            hidden=tuple(doc["config"]["hidden"]),
-            learning_rate=doc["config"]["learning_rate"],
-            epochs=doc["config"]["epochs"],
-            batch_size=doc["config"]["batch_size"],
-            seed=doc["config"]["seed"],
-        )
-        return MlpModel(
-            weights,
-            biases,
-            np.array(doc["input_mean"], dtype=float),
-            np.array(doc["input_std"], dtype=float),
-            cfg,
-            list(doc.get("history", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed model document ({exc})") from exc

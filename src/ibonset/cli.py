@@ -130,12 +130,11 @@ class _Problem:
     """A resolved estimation input: conditional table, joint table, and the
     class-conditional structure when it is known exactly."""
 
-    def __init__(self, cond, joint, noise=None, prior=None, source=""):
+    def __init__(self, cond, joint, noise=None, prior=None):
         self.cond = cond
         self.joint = joint
         self.noise = noise
         self.prior = prior
-        self.source = source
 
 
 def _resolve_spec(config) -> synth.MixtureSpec | None:
@@ -163,30 +162,27 @@ def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
 
     if kind == "cond":
         cond = dist.load_conditional_csv(config["cond"])
-        return _Problem(cond, dist.joint_from_conditional(cond), source=config["cond"])
+        return _Problem(cond, dist.joint_from_conditional(cond))
     if kind == "joint":
         joint = dist.load_joint_csv(config["joint"])
-        return _Problem(dist.conditional_from_joint(joint), joint, source=config["joint"])
+        return _Problem(dist.conditional_from_joint(joint), joint)
 
     spec = _resolve_spec(config)
     noise = spec.noise
     prior = spec.class_priors()
-    label = config.get("preset") or config.get("spec")
 
     if config.get("samples") is not None:
         seq = _task_seed(config.get("seed", 0), 0)
         points = synth.sample(spec, config["samples"], seed=seq).points
         cond = synth.analytic_posterior(spec, points)
-        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior, label)
+        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
     if noise is not None and not need_joint_table:
         # rows take one distinct value per true class, so the confusion
         # table weighted by the priors is the exact sufficient statistic
         cond = dist.ConditionalMatrix(noise, prior)
-        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior, label)
+        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
     joint = synth.discretize(spec, bins_per_axis=config.get("bins") or 32)
-    return _Problem(
-        dist.conditional_from_joint(joint), joint, noise, prior, label
-    )
+    return _Problem(dist.conditional_from_joint(joint), joint, noise, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,6 @@ _COMMANDS = {
     "maxcorr": ("maximum correlation of the input table", _cmd_maxcorr, {
         **_INPUT,
         "bins": (int, 32, None),
-        "seed": (int, 0, None),
         "out": (str, None, None),
     }),
 }

@@ -1,13 +1,13 @@
 """Discrete probability containers over finite alphabets.
 
-Joint tables, row-stochastic conditionals, marginals, mutual information,
-and the CSV formats used to move them between runs.  All containers are
-immutable after construction and safe to share across workers.
+Joint tables, row-stochastic conditionals, probability vectors, mutual
+information and entropy, and the CSV formats used to move tables between
+runs.  All containers are immutable after construction and safe to share
+across workers.
 
 Probabilities are validated to a stochasticity tolerance of 1e-9 and then
 renormalized exactly, so downstream arithmetic always sees sums of 1.
-Internally everything is in nats; conversion to bits happens only at the
-reporting boundary.
+Every information quantity is in nats.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import ValidationError
 
 #: inputs whose mass deviates from 1 by more than this are rejected
 STOCHASTIC_ATOL = 1e-9
-
-_LN2 = float(np.log(2.0))
 
 
 def _prob_array(values, name: str, ndim: int) -> np.ndarray:
@@ -42,14 +40,6 @@ def _prob_array(values, name: str, ndim: int) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _to_base(value_nats: float, base: str) -> float:
-    if base == "nats":
-        return value_nats
-    if base == "bits":
-        return value_nats / _LN2
-    raise ValidationError(f"unknown log base {base!r}, expected 'nats' or 'bits'")
 
 
 @dataclass(frozen=True)
@@ -119,12 +109,6 @@ class DiscreteJoint:
     def shape(self) -> tuple[int, int]:
         return self.probs.shape
 
-    def x_marginal(self) -> Marginal:
-        return Marginal(self.probs.sum(axis=1))
-
-    def y_marginal(self) -> Marginal:
-        return Marginal(self.probs.sum(axis=0))
-
 
 @dataclass(frozen=True)
 class ConditionalMatrix:
@@ -179,33 +163,13 @@ def joint_from_conditional(cond: ConditionalMatrix) -> DiscreteJoint:
     return DiscreteJoint(cond.weights[:, None] * cond.rows)
 
 
-def marginal(joint: DiscreteJoint, axis: str = "x") -> Marginal:
-    """Marginalize the joint over the other variable (axis 'x' or 'y')."""
-    if axis == "x":
-        return joint.x_marginal()
-    if axis == "y":
-        return joint.y_marginal()
-    raise ValidationError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def conditional_from_joint(joint: DiscreteJoint, axis: str = "x") -> ConditionalMatrix:
-    """Condition the joint on one variable.
-
-    axis='x' returns rows p(y|x) weighted by p(x); axis='y' returns rows
-    p(x|y) weighted by p(y).  Marginals are positive after joint
-    construction, so no row can be empty here.
-    """
-    if axis == "x":
-        mass = joint.probs.sum(axis=1)
-        table = joint.probs
-    elif axis == "y":
-        mass = joint.probs.sum(axis=0)
-        table = joint.probs.T
-    else:
-        raise ValidationError(f"axis must be 'x' or 'y', got {axis!r}")
+def conditional_from_joint(joint: DiscreteJoint) -> ConditionalMatrix:
+    """Rows p(y|x) weighted by p(x).  Marginals are positive after joint
+    construction, so no row can be empty here."""
+    mass = joint.probs.sum(axis=1)
     if mass.min() <= 0.0:
         raise ValidationError("zero-mass row while conditioning")
-    return ConditionalMatrix(table / mass[:, None], mass)
+    return ConditionalMatrix(joint.probs / mass[:, None], mass)
 
 
 def xlogy(x, y) -> np.ndarray:
@@ -225,8 +189,8 @@ def rel_entr(x, y) -> np.ndarray:
         return xlogy(x, x / y)
 
 
-def mutual_information(joint: DiscreteJoint, base: str = "nats") -> float:
-    """Mutual information of the joint table.
+def mutual_information(joint: DiscreteJoint) -> float:
+    """Mutual information of the joint table, in nats.
 
     Computed as sum of p(x,y) log[p(x,y) / (p(x)p(y))] with the 0 log 0 := 0
     convention.  The result is mathematically non-negative; floating point
@@ -234,14 +198,13 @@ def mutual_information(joint: DiscreteJoint, base: str = "nats") -> float:
     """
     px = joint.probs.sum(axis=1)
     py = joint.probs.sum(axis=0)
-    value = float(rel_entr(joint.probs, np.outer(px, py)).sum())
-    return _to_base(value, base)
+    return float(rel_entr(joint.probs, np.outer(px, py)).sum())
 
 
-def entropy(dist, base: str = "nats") -> float:
-    """Shannon entropy of a Marginal or a raw probability vector."""
+def entropy(dist) -> float:
+    """Shannon entropy in nats of a Marginal or a raw probability vector."""
     probs = dist.probs if isinstance(dist, Marginal) else Marginal(dist).probs
-    return _to_base(float(-xlogy(probs, probs).sum()), base)
+    return float(-xlogy(probs, probs).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +231,8 @@ def load_conditional_csv(path) -> ConditionalMatrix:
     The ``weight`` column is optional; without it weights are uniform.
     A headerless all-numeric file is also accepted.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
-    if _is_numeric_row(header):
-        body, header = rows, [f"y{j}" for j in range(len(rows[0]))]
-    if not body:
-        raise ValidationError(f"{path}: no data rows")
-    has_weight = header[-1].strip().lower() == "weight"
-    try:
-        data = np.array([[float(v) for v in r] for r in body])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.shape[1] != len(header):
-        raise ValidationError(f"{path}: ragged rows")
-    if has_weight:
+    header, data = _read_csv_table(path)
+    if header is not None and header[-1].strip().lower() == "weight":
         return ConditionalMatrix(data[:, :-1], data[:, -1])
     return ConditionalMatrix(data)
 
@@ -301,21 +249,29 @@ def save_joint_csv(joint: DiscreteJoint, path) -> None:
 
 def load_joint_csv(path) -> DiscreteJoint:
     """Read a dense joint table; the header row is optional."""
+    header, data = _read_csv_table(path)
+    return DiscreteJoint(data, y_labels=None if header is None else tuple(header))
+
+
+def _read_csv_table(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header row (None when the first row is numeric) and the numeric
+    body of a CSV table, skipping blank lines.  Empty, header-only, ragged
+    and non-numeric files are rejected."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    y_labels = None
-    if not _is_numeric_row(rows[0]):
-        y_labels = tuple(rows[0])
-        rows = rows[1:]
-    if not rows:
+    header = None if _is_numeric_row(rows[0]) else rows[0]
+    body = rows if header is None else rows[1:]
+    if not body:
         raise ValidationError(f"{path}: no data rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ValidationError(f"{path}: ragged rows")
     try:
-        data = np.array([[float(v) for v in r] for r in rows])
+        data = np.array([[float(v) for v in r] for r in body])
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
-    return DiscreteJoint(data, y_labels=y_labels)
+    return header, data
 
 
 def _is_numeric_row(cells: list[str]) -> bool:

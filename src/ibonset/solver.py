@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import DiscreteJoint, entropy, rel_entr
+from .dist import ConditionalMatrix, DiscreteJoint, entropy, rel_entr
 from .errors import ValidationError
 
 _LOG_TINY = 1e-300
@@ -49,7 +48,8 @@ ONSET_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class Encoder:
-    """Row-stochastic table p(z|x) produced by the solver."""
+    """Row-stochastic table p(z|x) produced by the solver, checked and
+    renormalized as the rows of a :class:`ConditionalMatrix` are."""
 
     probs: np.ndarray
     beta: float
@@ -59,17 +59,7 @@ class Encoder:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError("encoder table must be 2-dimensional")
-        if arr.min() < -1e-9 or not np.all(np.isfinite(arr)):
-            raise ValidationError("encoder table has invalid entries")
-        sums = np.clip(arr, 0.0, None).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValidationError("encoder rows do not sum to 1")
-        arr = np.clip(arr, 0.0, None) / sums[:, None]
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", ConditionalMatrix(self.probs).rows)
 
 
 @dataclass(frozen=True)
@@ -481,6 +471,9 @@ def sweep(
             for beta, child in zip(betas, children)
         ]
         if workers and workers > 1:
+            # imported here so that the serial path never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 points = list(pool.map(_sweep_task, tasks))
         else:

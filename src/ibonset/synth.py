@@ -56,6 +56,10 @@ class MixtureSpec:
         for c in comps:
             if len(c.mean) != 2 or len(c.variances) != 2:
                 raise ValidationError("components live in 2 dimensions")
+            for name in ("mean", "variances", "weight"):
+                value = getattr(c, name)
+                if not np.all(np.isfinite(value)):
+                    raise ValidationError(f"component {name} must be finite, got {value!r}")
             if min(c.variances) <= 0.0:
                 raise ValidationError("variances must be positive")
             if c.weight < 0.0:
@@ -75,6 +79,8 @@ class MixtureSpec:
             noise = np.array(noise, dtype=float)
             if noise.ndim != 2 or noise.shape[0] != len(ids):
                 raise ValidationError("confusion table rows must match class count")
+            if not np.all(np.isfinite(noise)):
+                raise ValidationError("confusion table entries must be finite")
             if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > 1e-9):
                 raise ValidationError("confusion rows must be stochastic")
             noise = noise / noise.sum(axis=1, keepdims=True)
@@ -85,12 +91,6 @@ class MixtureSpec:
     @property
     def num_true_classes(self) -> int:
         return max(c.class_id for c in self.components) + 1
-
-    @property
-    def num_observed_classes(self) -> int:
-        if self.noise is None:
-            return self.num_true_classes
-        return self.noise.shape[1]
 
     def class_priors(self) -> np.ndarray:
         priors = np.zeros(self.num_true_classes)
@@ -178,21 +178,6 @@ def save_samples_csv(samples: SampleSet, path) -> None:
         writer.writerow(["x1", "x2", "observed_label", "true_label"])
         for (x1, x2), o, t in zip(samples.points, samples.observed_labels, samples.true_labels):
             writer.writerow([format(x1, ".17g"), format(x2, ".17g"), int(o), int(t)])
-
-
-def load_samples_csv(path) -> SampleSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: no sample rows")
-    try:
-        data = [(float(r[0]), float(r[1]), int(r[2]), int(r[3])) for r in rows[1:] if r]
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: malformed sample row ({exc})") from exc
-    pts = np.array([(a, b) for a, b, _, _ in data])
-    obs = np.array([o for _, _, o, _ in data])
-    true = np.array([t for _, _, _, t in data])
-    return SampleSet(pts, obs, true)
 
 
 def sample(spec: MixtureSpec, n: int, seed: int | None = None) -> SampleSet:

@@ -60,6 +60,12 @@ def test_estimate_malformed_input_exits_1(tmp_path):
     path.write_text("y0,y1\n0.9,oops\n")
     assert main(["estimate", "--cond", str(path)]) == 1
     assert main(["estimate", "--cond", str(tmp_path / "missing.csv")]) == 1
+    # a NaN component mean once ran every estimator to exit 0
+    spec = json.loads(json.dumps(ibonset.noise_preset(0.2).to_dict()))
+    spec["components"][0]["mean"][0] = float("nan")
+    path.write_text(json.dumps(spec))
+    assert main(["estimate", "--spec", str(path), "--method", "all"]) == 1
+    assert main(["estimate", "--preset", "overlap-inf"]) == 1
 
 
 def test_estimate_requires_exactly_one_input(tmp_path):
@@ -142,21 +148,27 @@ def test_parser_dests_are_the_option_table(command):
 
 
 def test_estimate_rejects_tolerance_flag():
-    # the subset search is exact, so it has no tolerance to set
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--preset", "noise-0.2", "--tolerance", "1e-6"])
-    assert exc.value.code == 2
+    # the subset search is exact, so it has no tolerance to set; maxcorr
+    # draws no random numbers, so it has no seed
+    for argv in (["estimate", "--preset", "noise-0.2", "--tolerance", "1e-6"],
+                 ["maxcorr", "--preset", "noise-0.2", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_import_does_not_load_scipy():
+    # neither scipy nor the process pool, which only sweep --workers uses
     src = str(Path(ibonset.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import ibonset.cli, sys; assert 'scipy' not in sys.modules"],
+         "import ibonset.cli, sys; "
+         "print(sorted({'scipy', 'concurrent.futures.process'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_estimate_config_file_flags_override(tmp_path):

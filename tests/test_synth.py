@@ -13,7 +13,6 @@ from ibonset import (
     conditional_from_joint,
     discretize,
     get_preset,
-    load_samples_csv,
     load_spec_json,
     mutual_information,
     noise_preset,
@@ -26,7 +25,8 @@ from ibonset import (
 )
 from ibonset import synth
 
-MI_TWO_CLUSTER_BITS = 0.2780719051126377  # 1 - binary entropy of 0.2, in bits
+# ln 2 - binary entropy of 0.2, in nats
+MI_TWO_CLUSTER_NATS = 0.2780719051126377 * math.log(2.0)
 
 
 def test_spec_validation():
@@ -40,6 +40,18 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         # class ids must be contiguous from 0
         MixtureSpec((MixtureComponent((0.0, 0.0), (0.25, 0.25), 1.0, 1),))
+    nan = float("nan")
+    for comp, field in [
+        (MixtureComponent((nan, 0.0), (0.25, 0.25), 1.0, 0), "mean"),
+        (MixtureComponent((float("inf"), 0.0), (0.25, 0.25), 1.0, 0), "mean"),
+        (MixtureComponent((0.0, 0.0), (0.25, float("inf")), 1.0, 0), "variances"),
+        (MixtureComponent((0.0, 0.0), (nan, 0.25), 1.0, 0), "variances"),
+        (MixtureComponent((0.0, 0.0), (0.25, 0.25), nan, 0), "weight"),
+    ]:
+        with pytest.raises(ValidationError, match=field):
+            MixtureSpec((comp,))
+    with pytest.raises(ValidationError, match="confusion"):
+        MixtureSpec((good,), noise=[[nan]])
 
 
 def test_sample_identity_noise_keeps_labels():
@@ -100,12 +112,12 @@ def test_analytic_posterior_survives_extreme_points():
 
 def test_discretize_exact_mutual_information():
     joint = discretize(noise_preset(0.2))
-    assert mutual_information(joint, base="bits") == pytest.approx(
-        MI_TWO_CLUSTER_BITS, abs=1e-3
+    assert mutual_information(joint) == pytest.approx(
+        MI_TWO_CLUSTER_NATS, abs=1e-3 * math.log(2.0)
     )
     finer = discretize(noise_preset(0.2), bins_per_axis=64)
-    assert mutual_information(finer, base="bits") == pytest.approx(
-        MI_TWO_CLUSTER_BITS, abs=1e-3
+    assert mutual_information(finer) == pytest.approx(
+        MI_TWO_CLUSTER_NATS, abs=1e-3 * math.log(2.0)
     )
 
 
@@ -176,10 +188,11 @@ def test_samples_csv_round_trip(tmp_path):
     samples = sample(noise_preset(0.2), 64, seed=12)
     path = tmp_path / "samples.csv"
     save_samples_csv(samples, path)
-    back = load_samples_csv(path)
-    np.testing.assert_allclose(back.points, samples.points, rtol=1e-15)
-    np.testing.assert_array_equal(back.observed_labels, samples.observed_labels)
-    np.testing.assert_array_equal(back.true_labels, samples.true_labels)
+    assert path.read_text().splitlines()[0] == "x1,x2,observed_label,true_label"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(back[:, :2], samples.points, rtol=1e-15)
+    np.testing.assert_array_equal(back[:, 2], samples.observed_labels)
+    np.testing.assert_array_equal(back[:, 3], samples.true_labels)
 
 
 def test_symmetric_flip_three_classes():
