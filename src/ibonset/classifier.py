@@ -42,7 +42,6 @@ class MlpModel:
     biases: list[np.ndarray]
     input_mean: np.ndarray
     input_std: np.ndarray
-    config: TrainConfig
     history: list[float] = field(default_factory=list)
 
 
@@ -162,7 +161,7 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
                 param -= grad
         history.append(_loss(weights, biases, x, labels))
 
-    return MlpModel(weights, biases, mean, std, cfg, history)
+    return MlpModel(weights, biases, mean, std, history)
 
 
 def predict_proba(model: MlpModel, points) -> ConditionalMatrix:

@@ -139,7 +139,7 @@ class _Problem:
 
 def _resolve_spec(config) -> synth.MixtureSpec | None:
     if config.get("preset"):
-        return synth.get_preset(config["preset"], seed=config.get("seed", 0))
+        return synth.get_preset(config["preset"])
     if config.get("spec"):
         return synth.load_spec_json(config["spec"])
     return None
@@ -251,7 +251,10 @@ def _theory(problem: _Problem, names, config) -> dict[str, float]:
 def _cmd_estimate(config) -> int:
     problem = _load_problem(config)
     raw = config["method"]
-    methods = tuple(_ESTIMATORS) if raw == "all" else tuple(_split_list(raw))
+    # each named method runs and reports once, in the order first given
+    methods = tuple(_ESTIMATORS) if raw == "all" else tuple(dict.fromkeys(_split_list(raw)))
+    if not methods:
+        raise ValidationError("estimate: method must list at least one estimator")
     unknown = [name for name in methods if name not in _ESTIMATORS]
     if unknown:
         raise ValidationError(
@@ -527,7 +530,7 @@ def main(argv=None) -> int:
     _, handler, _ = _COMMANDS[command]
     try:
         return handler(_build_config(command, args, config_path))
-    except (OnsetError, FileNotFoundError) as exc:
+    except (OnsetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INDEPENDENT if isinstance(exc, IndependenceError) else _EXIT_INPUT
 

@@ -55,22 +55,16 @@ class Marginal:
             raise ValidationError(f"marginal mass is {total!r}, expected 1")
         object.__setattr__(self, "probs", _freeze(arr / total))
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Full joint probability table p(x, y), rows indexed by x.
 
     Rows or columns of exactly zero mass are pruned with a warning, so both
-    marginals are strictly positive after construction.  Optional labels
-    name the alphabet entries for reports.
+    marginals are strictly positive after construction.
     """
 
     probs: np.ndarray
-    x_labels: tuple[str, ...] | None = None
-    y_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = _prob_array(self.probs, "probs", 2)
@@ -81,7 +75,6 @@ class DiscreteJoint:
 
         keep_x = arr.sum(axis=1) > 0.0
         keep_y = arr.sum(axis=0) > 0.0
-        x_labels, y_labels = self.x_labels, self.y_labels
         if not (keep_x.all() and keep_y.all()):
             dropped = int((~keep_x).sum() + (~keep_y).sum())
             warnings.warn(
@@ -89,21 +82,7 @@ class DiscreteJoint:
                 stacklevel=2,
             )
             arr = arr[keep_x][:, keep_y]
-            if arr.size == 0:
-                raise ValidationError("joint table has no support")
-            if x_labels is not None:
-                x_labels = tuple(l for l, k in zip(x_labels, keep_x) if k)
-            if y_labels is not None:
-                y_labels = tuple(l for l, k in zip(y_labels, keep_y) if k)
-
-        if x_labels is not None and len(x_labels) != arr.shape[0]:
-            raise ValidationError("x_labels length does not match table rows")
-        if y_labels is not None and len(y_labels) != arr.shape[1]:
-            raise ValidationError("y_labels length does not match table columns")
-
         object.__setattr__(self, "probs", _freeze(arr))
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,8 +146,6 @@ def conditional_from_joint(joint: DiscreteJoint) -> ConditionalMatrix:
     """Rows p(y|x) weighted by p(x).  Marginals are positive after joint
     construction, so no row can be empty here."""
     mass = joint.probs.sum(axis=1)
-    if mass.min() <= 0.0:
-        raise ValidationError("zero-mass row while conditioning")
     return ConditionalMatrix(joint.probs / mass[:, None], mass)
 
 
@@ -211,18 +188,11 @@ def entropy(dist) -> float:
 # CSV formats
 # ---------------------------------------------------------------------------
 
-def _format_float(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def save_conditional_csv(cond: ConditionalMatrix, path) -> None:
     """Write a conditional table as CSV: one class column ``y<j>`` per label
     plus a trailing ``weight`` column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*(f"y{j}" for j in range(cond.num_classes)), "weight"])
-        for row, w in zip(cond.rows, cond.weights):
-            writer.writerow([*(_format_float(v) for v in row), _format_float(w)])
+    names = [f"y{j}" for j in range(cond.num_classes)]
+    _write_csv_table(path, [*names, "weight"], np.column_stack([cond.rows, cond.weights]))
 
 
 def load_conditional_csv(path) -> ConditionalMatrix:
@@ -238,19 +208,24 @@ def load_conditional_csv(path) -> ConditionalMatrix:
 
 
 def save_joint_csv(joint: DiscreteJoint, path) -> None:
-    """Write a joint table as a dense CSV matrix with a label header row."""
-    names = joint.y_labels or [f"y{j}" for j in range(joint.shape[1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in joint.probs:
-            writer.writerow([_format_float(v) for v in row])
+    """Write a joint table as a dense CSV matrix under a header row of
+    class names ``y<j>``."""
+    _write_csv_table(path, [f"y{j}" for j in range(joint.shape[1])], joint.probs)
 
 
 def load_joint_csv(path) -> DiscreteJoint:
-    """Read a dense joint table; the header row is optional."""
-    header, data = _read_csv_table(path)
-    return DiscreteJoint(data, y_labels=None if header is None else tuple(header))
+    """Read a dense joint table; a header row, if present, is skipped."""
+    _, data = _read_csv_table(path)
+    return DiscreteJoint(data)
+
+
+def _write_csv_table(path, header: list[str], table: np.ndarray) -> None:
+    """A header row, then the rows of ``table`` with 17 significant digits,
+    which read back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(float(v), ".17g") for v in row] for row in table)
 
 
 def _read_csv_table(path) -> tuple[list[str] | None, np.ndarray]:

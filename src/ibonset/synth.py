@@ -4,8 +4,8 @@ Covers the two standard experiment families: well-separated components with
 labels flipped at a chosen rate (noise study), and components moved toward
 each other at zero noise (overlap study).  Provides sampling, the exact
 posterior p(y|x) by Bayes' rule through the confusion table, and
-discretization of either a spec (exact cell masses from Gaussian CDF
-differences) or a sample set (counts) to a finite joint table.
+discretization of a spec to a finite joint table of exact cell masses
+(Gaussian CDF differences).
 """
 
 from __future__ import annotations
@@ -29,6 +29,22 @@ class MixtureComponent:
     class_id: int
 
 
+def _finite(value, name: str, convert):
+    """``convert(value)``, which must be finite; a ValidationError names the
+    field otherwise."""
+    try:
+        out = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """A 2D diagonal-covariance Gaussian mixture with optional label noise.
@@ -39,27 +55,22 @@ class MixtureSpec:
 
     components: tuple[MixtureComponent, ...]
     noise: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.components:
             raise ValidationError("mixture needs at least one component")
         comps = tuple(
             MixtureComponent(
-                mean=tuple(float(v) for v in c.mean),
-                variances=tuple(float(v) for v in c.variances),
-                weight=float(c.weight),
-                class_id=int(c.class_id),
+                mean=_finite(c.mean, "component mean", _floats),
+                variances=_finite(c.variances, "component variances", _floats),
+                weight=_finite(c.weight, "component weight", float),
+                class_id=_finite(c.class_id, "component class_id", int),
             )
             for c in self.components
         )
         for c in comps:
             if len(c.mean) != 2 or len(c.variances) != 2:
                 raise ValidationError("components live in 2 dimensions")
-            for name in ("mean", "variances", "weight"):
-                value = getattr(c, name)
-                if not np.all(np.isfinite(value)):
-                    raise ValidationError(f"component {name} must be finite, got {value!r}")
             if min(c.variances) <= 0.0:
                 raise ValidationError("variances must be positive")
             if c.weight < 0.0:
@@ -76,11 +87,9 @@ class MixtureSpec:
             raise ValidationError("class ids must be 0..C-1")
         noise = self.noise
         if noise is not None:
-            noise = np.array(noise, dtype=float)
+            noise = _finite(noise, "noise (confusion table)", lambda v: np.array(v, dtype=float))
             if noise.ndim != 2 or noise.shape[0] != len(ids):
                 raise ValidationError("confusion table rows must match class count")
-            if not np.all(np.isfinite(noise)):
-                raise ValidationError("confusion table entries must be finite")
             if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > 1e-9):
                 raise ValidationError("confusion rows must be stochastic")
             noise = noise / noise.sum(axis=1, keepdims=True)
@@ -110,7 +119,6 @@ class MixtureSpec:
                 for c in self.components
             ],
             "noise": None if self.noise is None else self.noise.tolist(),
-            "seed": self.seed,
         }
 
     @classmethod
@@ -127,7 +135,7 @@ class MixtureSpec:
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed mixture document: {exc}") from exc
-        return cls(comps, doc.get("noise"), int(doc.get("seed", 0)))
+        return cls(comps, doc.get("noise"))
 
 
 def save_spec_json(spec: MixtureSpec, path) -> None:
@@ -180,12 +188,12 @@ def save_samples_csv(samples: SampleSet, path) -> None:
             writer.writerow([format(x1, ".17g"), format(x2, ".17g"), int(o), int(t)])
 
 
-def sample(spec: MixtureSpec, n: int, seed: int | None = None) -> SampleSet:
+def sample(spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence) -> SampleSet:
     """Draw n points: component by weight, point from its Gaussian, observed
     label flipped through the confusion table.  Deterministic given seed."""
     if n < 1:
         raise ValidationError("need at least one sample")
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     weights = np.array([c.weight for c in spec.components])
     means = np.array([c.mean for c in spec.components])
     stds = np.sqrt([c.variances for c in spec.components])
@@ -254,43 +262,10 @@ MASS_FLOOR = 1e-12
 def default_box(spec: MixtureSpec) -> tuple[tuple[float, float], tuple[float, float]]:
     """Axis-aligned box reaching ``BOX_SIGMAS`` standard deviations beyond
     the extreme component means."""
-    lo = [float("inf"), float("inf")]
-    hi = [-float("inf"), -float("inf")]
-    for c in spec.components:
-        for ax in range(2):
-            s = np.sqrt(c.variances[ax])
-            lo[ax] = min(lo[ax], c.mean[ax] - BOX_SIGMAS * s)
-            hi[ax] = max(hi[ax], c.mean[ax] + BOX_SIGMAS * s)
+    means = np.array([c.mean for c in spec.components])
+    reach = BOX_SIGMAS * np.sqrt([c.variances for c in spec.components])
+    lo, hi = (means - reach).min(axis=0), (means + reach).max(axis=0)
     return (lo[0], hi[0]), (lo[1], hi[1])
-
-
-def discretize(
-    source,
-    bins_per_axis: int = 32,
-    box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-) -> DiscreteJoint:
-    """Reduce a mixture spec or a sample set to a finite joint table.
-
-    The x alphabet is the set of occupied grid cells.  For a
-    :class:`MixtureSpec` the cell masses are exact (products of per-axis
-    Gaussian CDF differences, composed with the confusion table); for a
-    :class:`SampleSet` they are counts of (cell, observed label) pairs.
-    Cells holding at most ``MASS_FLOOR`` of the total mass are dropped and
-    the table renormalized.
-
-    Raises when all mass (or every sample) falls outside the box.
-    """
-    if bins_per_axis < 1:
-        raise ValidationError("bins_per_axis must be at least 1")
-    if isinstance(source, MixtureSpec):
-        return _discretize_exact(source, bins_per_axis, box)
-    if isinstance(source, SampleSet):
-        return _discretize_samples(source, bins_per_axis, box)
-    raise ValidationError("source must be a MixtureSpec or a SampleSet")
-
-
-def _cell_labels(bins: int, occupied: np.ndarray) -> tuple[str, ...]:
-    return tuple(f"cell({i // bins},{i % bins})" for i in np.flatnonzero(occupied))
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -298,14 +273,23 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
 
 
-def _discretize_exact(spec, bins, box) -> DiscreteJoint:
-    (x_lo, x_hi), (y_lo, y_hi) = box if box is not None else default_box(spec)
+def discretize(spec: MixtureSpec, bins_per_axis: int = 32) -> DiscreteJoint:
+    """Reduce a mixture spec to a joint table of exact cell masses.
+
+    :func:`default_box` is cut into ``bins_per_axis`` intervals per axis; a
+    cell's mass per true class is a sum of products of per-axis Gaussian CDF
+    differences, composed with the confusion table.  Cells holding at most
+    ``MASS_FLOOR`` of the total mass are dropped and the table renormalized.
+    """
+    if bins_per_axis < 1:
+        raise ValidationError("bins_per_axis must be at least 1")
+    (x_lo, x_hi), (y_lo, y_hi) = default_box(spec)
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValidationError("box must have positive extent")
-    edges_x = np.linspace(x_lo, x_hi, bins + 1)
-    edges_y = np.linspace(y_lo, y_hi, bins + 1)
+    edges_x = np.linspace(x_lo, x_hi, bins_per_axis + 1)
+    edges_y = np.linspace(y_lo, y_hi, bins_per_axis + 1)
 
-    class_mass = np.zeros((bins * bins, spec.num_true_classes))
+    class_mass = np.zeros((bins_per_axis * bins_per_axis, spec.num_true_classes))
     for comp in spec.components:
         sx, sy = np.sqrt(comp.variances)
         cdf_x = _normal_cdf((edges_x - comp.mean[0]) / sx)
@@ -321,41 +305,7 @@ def _discretize_exact(spec, bins, box) -> DiscreteJoint:
     if not keep.any():
         raise ValidationError("no grid cell holds appreciable mass")
     kept = table[keep]
-    return DiscreteJoint(kept / kept.sum(), x_labels=_cell_labels(bins, keep))
-
-
-def _discretize_samples(samples, bins, box) -> DiscreteJoint:
-    pts = samples.points
-    if box is None:
-        box = (
-            (float(pts[:, 0].min()), float(pts[:, 0].max())),
-            (float(pts[:, 1].min()), float(pts[:, 1].max())),
-        )
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValidationError("box must have positive extent")
-    edges_x = np.linspace(x_lo, x_hi, bins + 1)
-    edges_y = np.linspace(y_lo, y_hi, bins + 1)
-
-    inside = (
-        (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi)
-        & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
-    )
-    if not inside.any():
-        raise ValidationError("every sample falls outside the box")
-    pts_in = pts[inside]
-    labels = samples.observed_labels[inside]
-    ix = np.minimum(np.searchsorted(edges_x, pts_in[:, 0], side="right") - 1, bins - 1)
-    iy = np.minimum(np.searchsorted(edges_y, pts_in[:, 1], side="right") - 1, bins - 1)
-    cell = ix * bins + iy
-    n_labels = int(labels.max()) + 1
-    counts = np.zeros((bins * bins, n_labels))
-    np.add.at(counts, (cell, labels), 1.0)
-
-    total = counts.sum()
-    keep = counts.sum(axis=1) > MASS_FLOOR * total
-    kept = counts[keep]
-    return DiscreteJoint(kept / kept.sum(), x_labels=_cell_labels(bins, keep))
+    return DiscreteJoint(kept / kept.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +331,7 @@ def symmetric_flip(rho: float, classes: int = 2) -> np.ndarray:
     return np.full((classes, classes), off) + (1.0 - rho - off) * np.eye(classes)
 
 
-def _pair(distance: float, weights, noise, seed: int) -> MixtureSpec:
+def _pair(distance: float, weights, noise) -> MixtureSpec:
     """Classes 0 and 1 as Gaussians of variance ``PRESET_VARIANCE`` on the
     first axis, ``distance`` apart."""
     half = distance / 2.0
@@ -390,21 +340,21 @@ def _pair(distance: float, weights, noise, seed: int) -> MixtureSpec:
         MixtureComponent((-half, 0.0), var, weights[0], 0),
         MixtureComponent((half, 0.0), var, weights[1], 1),
     )
-    return MixtureSpec(comps, noise, seed)
+    return MixtureSpec(comps, noise)
 
 
-def noise_preset(rho: float, *, seed: int = 0) -> MixtureSpec:
+def noise_preset(rho: float) -> MixtureSpec:
     """Two equal Gaussians ``NOISE_PRESET_DISTANCE`` apart with labels
     flipped at rate rho."""
-    return _pair(NOISE_PRESET_DISTANCE, (0.5, 0.5), symmetric_flip(rho), seed)
+    return _pair(NOISE_PRESET_DISTANCE, (0.5, 0.5), symmetric_flip(rho))
 
 
-def overlap_preset(distance: float, *, seed: int = 0) -> MixtureSpec:
+def overlap_preset(distance: float) -> MixtureSpec:
     """Two unequal-weight Gaussians ``distance`` apart with exact labels."""
-    return _pair(distance, OVERLAP_PRESET_WEIGHTS, None, seed)
+    return _pair(distance, OVERLAP_PRESET_WEIGHTS, None)
 
 
-def get_preset(name: str, seed: int = 0) -> MixtureSpec:
+def get_preset(name: str) -> MixtureSpec:
     """Resolve preset names like ``noise-0.2`` or ``overlap-3.2``."""
     parts = name.split("-", 1)
     if len(parts) == 2:
@@ -415,9 +365,9 @@ def get_preset(name: str, seed: int = 0) -> MixtureSpec:
             value = None
         if value is not None:
             if kind == "noise":
-                return noise_preset(value, seed=seed)
+                return noise_preset(value)
             if kind == "overlap":
-                return overlap_preset(value, seed=seed)
+                return overlap_preset(value)
     raise ValidationError(
         f"unknown preset {name!r}; expected noise-<rate> or overlap-<distance>"
     )

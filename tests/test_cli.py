@@ -16,7 +16,7 @@ from ibonset import (
     save_joint_csv,
     solver,
 )
-from ibonset.cli import _COMMANDS, _build_config, build_parser, main
+from ibonset.cli import _COMMANDS, _build_config, _task_seed, build_parser, main
 
 TWO_CLUSTER_BETA = 1.0 / 0.36
 
@@ -55,7 +55,7 @@ def test_estimate_independent_cond_exits_2(tmp_path):
     assert main(["estimate", "--cond", str(path)]) == 2
 
 
-def test_estimate_malformed_input_exits_1(tmp_path):
+def test_estimate_malformed_input_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.csv"
     path.write_text("y0,y1\n0.9,oops\n")
     assert main(["estimate", "--cond", str(path)]) == 1
@@ -66,6 +66,38 @@ def test_estimate_malformed_input_exits_1(tmp_path):
     path.write_text(json.dumps(spec))
     assert main(["estimate", "--spec", str(path), "--method", "all"]) == 1
     assert main(["estimate", "--preset", "overlap-inf"]) == 1
+    # strings where numbers belong once escaped as ValueError tracebacks
+    for field, edit in [
+        ("mean", lambda doc: doc["components"][0].update(mean=["abc", 0.0])),
+        ("class_id", lambda doc: doc["components"][0].update(class_id="b")),
+        ("noise", lambda doc: doc.update(noise="abc")),
+        ("noise", lambda doc: doc.update(noise=[["x", 0.2], [0.2, 0.8]])),
+    ]:
+        doc = ibonset.noise_preset(0.2).to_dict()
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["estimate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("case", ["cond-dir", "config-dir", "out-samples-dir", "cond-bytes"])
+def test_file_system_and_encoding_errors_exit_1(tmp_path, capsys, case):
+    # each of these once escaped main as an IsADirectoryError or a
+    # UnicodeDecodeError traceback
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe")
+    argv = {
+        "cond-dir": ["estimate", "--cond", str(tmp_path)],
+        "config-dir": ["estimate", "--config", str(tmp_path)],
+        "out-samples-dir": ["gen", "--preset", "noise-0.2", "--n", "5",
+                            "--out-samples", str(tmp_path),
+                            "--out-spec", str(tmp_path / "spec.json")],
+        "cond-bytes": ["estimate", "--cond", str(binary)],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_estimate_requires_exactly_one_input(tmp_path):
@@ -147,6 +179,25 @@ def test_parser_dests_are_the_option_table(command):
     assert dests == set(_COMMANDS[command][2]) | {"command", "config"}
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_estimate_method_list_empty_or_repeated(tmp_path, capsys, via):
+    def run(method):
+        argv = (["--method", method] if via == "flag"
+                else _config_argv(tmp_path, {"method": method}))
+        return main(["estimate", "--preset", "noise-0.2", *argv,
+                     "--out", str(tmp_path / "r.json")])
+
+    # an empty list was reported as no estimator applying to the input
+    assert run("") == 1
+    err = capsys.readouterr().err
+    assert "method must list at least one estimator" in err
+    assert "class-conditional" not in err
+    assert run("maxcorr,maxcorr") == 0
+    assert capsys.readouterr().out.count("max_correlation_inverse") == 1
+    estimates = _read_json(tmp_path / "r.json")["estimates"]
+    assert [e["method"] for e in estimates] == ["max_correlation_inverse"]
+
+
 def test_estimate_rejects_tolerance_flag():
     # the subset search is exact, so it has no tolerance to set; maxcorr
     # draws no random numbers, so it has no seed
@@ -208,6 +259,19 @@ def test_gen_writes_samples_and_spec(tmp_path):
     main(["gen", "--preset", "noise-0.1", "--n", "200", "--seed", "3",
           "--out-samples", str(again), "--out-spec", str(spec)])
     assert again.read_text() == samples.read_text()
+
+
+def test_gen_spec_reproduces_the_samples(tmp_path):
+    # the spec once recorded "seed": 3, which drew other samples than gen's
+    samples, spec = tmp_path / "s.csv", tmp_path / "spec.json"
+    assert main(["gen", "--preset", "noise-0.1", "--n", "50", "--seed", "3",
+                 "--out-samples", str(samples), "--out-spec", str(spec)]) == 0
+    assert "seed" not in _read_json(spec)
+    drawn = ibonset.sample(ibonset.load_spec_json(spec), 50, seed=_task_seed(3, 0))
+    written = np.loadtxt(samples, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(written[:, :2], drawn.points)
+    np.testing.assert_array_equal(written[:, 2], drawn.observed_labels)
+    np.testing.assert_array_equal(written[:, 3], drawn.true_labels)
 
 
 def test_gen_without_spec_exits_1():
