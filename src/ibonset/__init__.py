@@ -4,7 +4,6 @@ objective, with a tabular solver for empirical verification."""
 from .dist import (
     ConditionalMatrix,
     DiscreteJoint,
-    Marginal,
     conditional_from_joint,
     entropy,
     joint_from_conditional,

@@ -6,17 +6,17 @@ at fit time; predictions are softmax rows, so they plug straight into the
 subset-search estimator as a learned conditional table.
 
 The training step does less work than the straightforward loop (one
-shuffled copy of the data per epoch, one-hot targets, no per-step loss,
-column-wise softmax reductions, in-place updates) but rounds exactly as it
-does: for fewer than 8 classes the trained weights, biases, loss history
-and predictions are bit for bit those of that loop.  From 8 classes up,
-numpy's pairwise row sums make the last bit differ.
+shuffled copy of the data per epoch, one-hot targets, no loss evaluated
+during training, column-wise softmax reductions, in-place updates) but
+rounds exactly as it does: for fewer than 8 classes the trained weights,
+biases and predictions are bit for bit those of that loop.  From 8 classes
+up, numpy's pairwise row sums make the last bit differ.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class MlpModel:
     biases: list[np.ndarray]
     input_mean: np.ndarray
     input_std: np.ndarray
-    history: list[float] = field(default_factory=list)
 
 
 def _init_params(sizes: list[int], rng: np.random.Generator):
@@ -81,15 +80,6 @@ def _log_softmax(logits):
     return shifted - np.log(total)[:, None]
 
 
-def _cross_entropy(log_probs, labels):
-    return -log_probs[np.arange(len(labels)), labels].mean()
-
-
-def _loss(weights, biases, x, labels):
-    """Mean cross-entropy alone, equal to ``loss_and_gradients(...)[0]``."""
-    return _cross_entropy(_log_softmax(_forward(weights, biases, x)[0]), labels)
-
-
 def _backward(weights, biases, x, targets):
     """One batch's log-probabilities and the exact gradients of its mean
     cross-entropy against one-hot ``targets``.  Every gradient is a fresh
@@ -117,14 +107,13 @@ def loss_and_gradients(weights, biases, x, labels):
     """Mean cross-entropy and its exact gradients for one batch."""
     targets = np.eye(weights[-1].shape[1])[labels]
     log_probs, grads_w, grads_b = _backward(weights, biases, x, targets)
-    return _cross_entropy(log_probs, labels), grads_w, grads_b
+    return -log_probs[np.arange(len(labels)), labels].mean(), grads_w, grads_b
 
 
 def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
-    """Train on the observed labels by plain mini-batch SGD.  Final loss
-    never exceeds the initial loss at the default learning rate; the
-    per-epoch trail of full-data losses is kept in ``model.history``
-    (entry 0 is the pre-training loss)."""
+    """Train on the observed labels by plain mini-batch SGD for
+    ``config.epochs`` epochs.  No loss is evaluated during training; apply
+    :func:`loss_and_gradients` to the returned weights to measure one."""
     cfg = config or TrainConfig()
     labels = samples.observed_labels
     classes = np.unique(labels)
@@ -143,7 +132,6 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
     params = [*weights, *biases]
     targets = np.eye(n_classes)[labels]
 
-    history = [_loss(weights, biases, x, labels)]
     n = len(x)
     for _ in range(cfg.epochs):
         # one gather per epoch; the batches are row slices of it
@@ -159,9 +147,8 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
             for param, grad in zip(params, [*gw, *gb]):
                 grad *= cfg.learning_rate
                 param -= grad
-        history.append(_loss(weights, biases, x, labels))
 
-    return MlpModel(weights, biases, mean, std, history)
+    return MlpModel(weights, biases, mean, std)
 
 
 def predict_proba(model: MlpModel, points) -> ConditionalMatrix:

@@ -98,6 +98,8 @@ def _build_config(command: str, cli_values: dict, config_path: str | None) -> di
                 raise ValidationError(f"{command}: bad value for {key!r}: {value!r}")
             config[key] = convert(value) if convert else value
     config.update({k: v for k, v in cli_values.items() if v is not None})
+    if config.get("seed", 0) < 0:
+        raise ValidationError(f"{command}: seed must be non-negative, got {config['seed']}")
     return config
 
 
@@ -409,19 +411,21 @@ def _cmd_table(config) -> int:
 def _cmd_maxcorr(config) -> int:
     problem = _load_problem(config)
     rho = estimators.max_correlation(problem.joint)
+    # max_correlation_beta's independence rule: 1/rho^2 of roundoff is no threshold
+    inverse = None if rho * rho <= estimators.DENOM_TOL else 1.0 / (rho * rho)
     print(f"rho_m           = {rho:.10f}")
     print(f"rho_m^2         = {rho * rho:.10f}")
-    if rho > 0.0:
-        print(f"1/rho_m^2       = {1.0 / (rho * rho):.10f}")
-    else:
+    if inverse is None:
         print("1/rho_m^2       = inf (independent)")
+    else:
+        print(f"1/rho_m^2       = {inverse:.10f}")
     _write_report(
         config.get("out"),
         {
             "command": "maxcorr",
             "config": config,
             "rho_m": rho,
-            "beta_lower_inverse": (1.0 / (rho * rho)) if rho > 0 else None,
+            "beta_lower_inverse": inverse,
         },
     )
     return _EXIT_OK

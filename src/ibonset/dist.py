@@ -1,9 +1,9 @@
 """Discrete probability containers over finite alphabets.
 
-Joint tables, row-stochastic conditionals, probability vectors, mutual
-information and entropy, and the CSV formats used to move tables between
-runs.  All containers are immutable after construction and safe to share
-across workers.
+Joint tables and row-stochastic conditionals, which carry their marginals,
+mutual information and entropy, and the CSV formats used to move tables
+between runs.  All containers are immutable after construction and safe to
+share across workers.
 
 Probabilities are validated to a stochasticity tolerance of 1e-9 and then
 renormalized exactly, so downstream arithmetic always sees sums of 1.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,23 +37,16 @@ def _prob_array(values, name: str, ndim: int) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
+def _unit_mass(arr: np.ndarray, what: str) -> np.ndarray:
+    total = arr.sum()
+    if abs(total - 1.0) > STOCHASTIC_ATOL:
+        raise ValidationError(f"{what} mass is {total!r}, expected 1")
+    return arr / total
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Marginal:
-    """Probability vector over one finite alphabet."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _prob_array(self.probs, "probs", 1)
-        total = arr.sum()
-        if abs(total - 1.0) > STOCHASTIC_ATOL:
-            raise ValidationError(f"marginal mass is {total!r}, expected 1")
-        object.__setattr__(self, "probs", _freeze(arr / total))
 
 
 @dataclass(frozen=True)
@@ -61,17 +54,15 @@ class DiscreteJoint:
     """Full joint probability table p(x, y), rows indexed by x.
 
     Rows or columns of exactly zero mass are pruned with a warning, so both
-    marginals are strictly positive after construction.
+    marginals ``p_x`` and ``p_y`` are strictly positive after construction.
     """
 
     probs: np.ndarray
+    p_x: np.ndarray = field(init=False, repr=False, compare=False)
+    p_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _prob_array(self.probs, "probs", 2)
-        total = arr.sum()
-        if abs(total - 1.0) > STOCHASTIC_ATOL:
-            raise ValidationError(f"joint mass is {total!r}, expected 1")
-        arr = arr / total
+        arr = _unit_mass(_prob_array(self.probs, "probs", 2), "joint")
 
         keep_x = arr.sum(axis=1) > 0.0
         keep_y = arr.sum(axis=0) > 0.0
@@ -83,6 +74,8 @@ class DiscreteJoint:
             )
             arr = arr[keep_x][:, keep_y]
         object.__setattr__(self, "probs", _freeze(arr))
+        object.__setattr__(self, "p_x", _freeze(arr.sum(axis=1)))
+        object.__setattr__(self, "p_y", _freeze(arr.sum(axis=0)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -93,11 +86,13 @@ class DiscreteJoint:
 class ConditionalMatrix:
     """Row-stochastic table of p(y | x_i) plus example weights p(x_i).
 
-    Weights default to uniform 1/N and must be strictly positive.
+    Weights default to uniform 1/N and must be strictly positive.  ``p_y``
+    is the label marginal sum_i p(x_i) p(y | x_i).
     """
 
     rows: np.ndarray
     weights: np.ndarray | None = None
+    p_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _prob_array(self.rows, "rows", 2)
@@ -117,13 +112,12 @@ class ConditionalMatrix:
                 raise ValidationError("weights length does not match number of rows")
             if w.min() <= 0.0:
                 raise ValidationError("weights must be strictly positive")
-            total = w.sum()
-            if abs(total - 1.0) > STOCHASTIC_ATOL:
-                raise ValidationError(f"weights sum to {total!r}, expected 1")
-            w = w / total
+            w = _unit_mass(w, "weight")
 
         object.__setattr__(self, "rows", _freeze(rows))
         object.__setattr__(self, "weights", _freeze(w))
+        p_y = w @ rows
+        object.__setattr__(self, "p_y", _freeze(p_y / p_y.sum()))
 
     @property
     def num_examples(self) -> int:
@@ -132,9 +126,6 @@ class ConditionalMatrix:
     @property
     def num_classes(self) -> int:
         return self.rows.shape[1]
-
-    def label_marginal(self) -> Marginal:
-        return Marginal(self.weights @ self.rows)
 
 
 def joint_from_conditional(cond: ConditionalMatrix) -> DiscreteJoint:
@@ -145,8 +136,7 @@ def joint_from_conditional(cond: ConditionalMatrix) -> DiscreteJoint:
 def conditional_from_joint(joint: DiscreteJoint) -> ConditionalMatrix:
     """Rows p(y|x) weighted by p(x).  Marginals are positive after joint
     construction, so no row can be empty here."""
-    mass = joint.probs.sum(axis=1)
-    return ConditionalMatrix(joint.probs / mass[:, None], mass)
+    return ConditionalMatrix(joint.probs / joint.p_x[:, None], joint.p_x)
 
 
 def xlogy(x, y) -> np.ndarray:
@@ -173,15 +163,14 @@ def mutual_information(joint: DiscreteJoint) -> float:
     convention.  The result is mathematically non-negative; floating point
     may return values as low as -1e-12.
     """
-    px = joint.probs.sum(axis=1)
-    py = joint.probs.sum(axis=0)
-    return float(rel_entr(joint.probs, np.outer(px, py)).sum())
+    return float(rel_entr(joint.probs, np.outer(joint.p_x, joint.p_y)).sum())
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in nats of a Marginal or a raw probability vector."""
-    probs = dist.probs if isinstance(dist, Marginal) else Marginal(dist).probs
-    return float(-xlogy(probs, probs).sum())
+def entropy(probs) -> float:
+    """Shannon entropy in nats of a probability vector, validated and
+    renormalized as a joint table is."""
+    arr = _unit_mass(_prob_array(probs, "probs", 1), "probability")
+    return float(-xlogy(arr, arr).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +208,15 @@ def load_joint_csv(path) -> DiscreteJoint:
     return DiscreteJoint(data)
 
 
-def _write_csv_table(path, header: list[str], table: np.ndarray) -> None:
+def _write_csv_table(path, header: list[str], table) -> None:
     """A header row, then the rows of ``table`` with 17 significant digits,
-    which read back exactly."""
+    which read back exactly (integers as integers)."""
+    # Python floats format several times faster than numpy scalars
+    rows = np.asarray(table, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([format(float(v), ".17g") for v in row] for row in table)
+        writer.writerows([format(v, ".17g") for v in row] for row in rows)
 
 
 def _read_csv_table(path) -> tuple[list[str] | None, np.ndarray]:

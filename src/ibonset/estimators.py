@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint, Marginal, rel_entr
+from .dist import ConditionalMatrix, DiscreteJoint, _freeze, rel_entr
 from .errors import (
     IndependenceError,
     InvalidDirectionError,
@@ -67,16 +67,18 @@ class SubsetResult:
     ``member_indices`` are original example indices (sorted); the subset is
     always non-empty and a strict subset of the dataset.  ``beta0`` is an
     upper bound on the true threshold; it equals 1 exactly when the labels
-    are a deterministic function of the examples.
+    are a deterministic function of the examples.  ``label_dist`` is the
+    subset's label distribution p(y | S), a read-only array.
     """
 
     beta0: float
     pivot_class: int
     member_indices: tuple[int, ...]
     mass: float
-    label_dist: Marginal
+    label_dist: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "label_dist", _freeze(np.array(self.label_dist, dtype=float)))
         if not math.isfinite(self.beta0) or self.beta0 < 1.0 - _BETA_SLACK:
             raise ValidationError(f"threshold {self.beta0!r} below 1")
         if not self.member_indices:
@@ -90,7 +92,7 @@ class SubsetResult:
             "pivot_class": self.pivot_class,
             "member_indices": list(self.member_indices),
             "mass": self.mass,
-            "label_dist": self.label_dist.probs.tolist(),
+            "label_dist": self.label_dist.tolist(),
         }
 
 
@@ -110,9 +112,7 @@ class BetaEstimate:
                 f"{self.method.value} produced threshold {self.value!r} below 1"
             )
         if self.scores is not None:
-            arr = np.array(self.scores, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "scores", arr)
+            object.__setattr__(self, "scores", _freeze(np.array(self.scores, dtype=float)))
 
     def to_dict(self) -> dict:
         return {
@@ -168,7 +168,7 @@ def beta_for_subset(cond: ConditionalMatrix, members) -> float:
     w = cond.weights[idx]
     mass = float(w.sum())
     label_dist = (w[:, None] * cond.rows[idx]).sum(axis=0) / mass
-    value = float(_beta_ratio(mass, label_dist, cond.label_marginal().probs))
+    value = float(_beta_ratio(mass, label_dist, cond.p_y))
     if not math.isfinite(value):
         raise UninformativeSubsetError(
             "subset carries no label information (denominator ~ 0)"
@@ -192,7 +192,7 @@ class _PrefixTables:
             np.zeros(cond.num_classes),
             np.cumsum(w[:, None] * cond.rows[order], axis=0),
         ))
-        self.p_y = cond.label_marginal().probs
+        self.p_y = cond.p_y
         self.n = len(order)
 
     def stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +215,8 @@ class _PrefixTables:
             pivot_class=pivot,
             member_indices=tuple(sorted(self.order[lo - 1:hi].tolist())),
             mass=float(mass),
-            label_dist=Marginal(q),
+            # the cumulative-sum differences sum to 1 only up to roundoff
+            label_dist=q / q.sum(),
         )
 
 
@@ -313,15 +314,13 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     """Closed-form threshold under class-conditional label noise.
 
     ``noise`` is the row-stochastic confusion table p(observed | true) and
-    ``prior`` the true-class probabilities (uniform by default).  Returns
-    the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1).
+    ``prior`` an array of true-class probabilities (uniform by default).
+    Returns the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1).
     """
-    prior_arr = prior.probs if isinstance(prior, Marginal) else prior
-    table = ConditionalMatrix(np.asarray(noise, dtype=float), prior_arr)
-    p_y = table.label_marginal().probs
-    if p_y.min() <= 0.0:
+    table = ConditionalMatrix(np.asarray(noise, dtype=float), prior)
+    if table.p_y.min() <= 0.0:
         raise ValidationError("induced label marginal has a zero entry")
-    per_class = _beta_ratio(table.weights, table.rows, p_y).tolist()
+    per_class = _beta_ratio(table.weights, table.rows, table.p_y).tolist()
     pivot = int(np.argmin(per_class))
     value = per_class[pivot]
     if not math.isfinite(value):
@@ -342,6 +341,17 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
 # score-vector functional and maximum correlation
 # ---------------------------------------------------------------------------
 
+def _centered_scores(joint: DiscreteJoint, scores) -> tuple[np.ndarray, float]:
+    """A per-example score vector centred to mean 0 under p(x), and the
+    larger of 1 and its largest magnitude, which scales the tolerances."""
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or len(s) != joint.shape[0]:
+        raise ValidationError("scores length does not match joint rows")
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("scores contain non-finite entries")
+    return s - float(joint.p_x @ s), max(1.0, float(np.abs(s).max()))
+
+
 def beta_for_scores(joint: DiscreteJoint, scores) -> float:
     """Threshold ratio of one per-example score vector.
 
@@ -349,22 +359,14 @@ def beta_for_scores(joint: DiscreteJoint, scores) -> float:
     affine maps of the scores.  Raises :class:`InvalidDirectionError` for
     scores constant on the support or blind to the labels.
     """
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or len(s) != joint.shape[0]:
-        raise ValidationError("scores length does not match joint rows")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("scores contain non-finite entries")
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
     # centering first keeps both quadratic forms non-negative and makes the
     # affine invariance hold to roundoff instead of suffering cancellation
-    centered = s - float(p_x @ s)
-    var = float(p_x @ (centered * centered))
-    scale = max(1.0, float(np.abs(s).max()) ** 2)
-    if var <= DENOM_TOL * scale:
+    centered, scale = _centered_scores(joint, scores)
+    var = float(joint.p_x @ (centered * centered))
+    if var <= DENOM_TOL * scale ** 2:
         raise InvalidDirectionError("scores are constant on the support")
-    cond_mean = (joint.probs.T @ centered) / p_y
-    den = float(p_y @ (cond_mean * cond_mean))
+    cond_mean = (joint.probs.T @ centered) / joint.p_y
+    den = float(joint.p_y @ (cond_mean * cond_mean))
     if den <= DENOM_TOL * var:
         raise InvalidDirectionError(
             "scores are uncorrelated with the labels (denominator ~ 0)"
@@ -379,9 +381,7 @@ def _correlation_pair(joint: DiscreteJoint) -> tuple[float, float, np.ndarray | 
 
     A thin SVD keeps time O(|X| |Y|^2) and memory O(|X| |Y|).
     """
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
-    q = joint.probs / np.sqrt(np.outer(p_x, p_y))
+    q = joint.probs / np.sqrt(np.outer(joint.p_x, joint.p_y))
     u, svals, _ = np.linalg.svd(q, full_matrices=False)
     if abs(svals[0] - 1.0) > 1e-9:
         raise ValidationError(
@@ -390,7 +390,7 @@ def _correlation_pair(joint: DiscreteJoint) -> tuple[float, float, np.ndarray | 
     if len(svals) < 2:
         return float(svals[0]), 0.0, None
     rho = float(min(max(svals[1], 0.0), 1.0))
-    return float(svals[0]), rho, u[:, 1] / np.sqrt(p_x)
+    return float(svals[0]), rho, u[:, 1] / np.sqrt(joint.p_x)
 
 
 def max_correlation(joint: DiscreteJoint) -> float:
@@ -444,8 +444,7 @@ def minimize_beta(
     """
     if joint.shape[0] < 2:
         raise ValidationError("need at least two x values to define a direction")
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
+    p_x, p_y = joint.p_x, joint.p_y
     # the quadratic form h M h with M[x,x'] = sum_y p(x,y)p(x',y)/p(y) is
     # what the centered unit-variance ratio inverts; M is kept factored so
     # one multiply costs O(|X||Y|) even for large discretized alphabets, and
@@ -520,12 +519,7 @@ def onset_correction(joint: DiscreteJoint, scores) -> np.ndarray:
     entry per (x, y) cell, normalized up to an arbitrary positive scale
     (set to 1 by convention).  Every row sums to zero.
     """
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or len(s) != joint.shape[0]:
-        raise ValidationError("scores length does not match joint rows")
-    p_x = joint.probs.sum(axis=1)
-    centered = s - float(p_x @ s)
-    scale = max(1.0, float(np.abs(s).max()))
+    centered, scale = _centered_scores(joint, scores)
     if np.abs(centered).max() <= 1e-12 * scale:
         raise InvalidDirectionError("scores are constant; no onset direction")
     per_label = joint.probs.T @ centered

@@ -20,13 +20,12 @@ noise band of the lowest grid points (see :func:`detect_onset`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint, entropy, rel_entr
+from .dist import ConditionalMatrix, DiscreteJoint, _write_csv_table, entropy, rel_entr
 from .errors import ValidationError
 
 _LOG_TINY = 1e-300
@@ -118,12 +117,10 @@ class SweepResult:
 
 
 def _information_pair(pzx: np.ndarray, joint: DiscreteJoint) -> tuple[float, float]:
-    p_x = joint.probs.sum(axis=1)
-    p_y = joint.probs.sum(axis=0)
-    p_z = p_x @ pzx
-    i_xz = float((p_x[:, None] * rel_entr(pzx, p_z[None, :])).sum())
+    p_z = joint.p_x @ pzx
+    i_xz = float((joint.p_x[:, None] * rel_entr(pzx, p_z[None, :])).sum())
     p_zy = pzx.T @ joint.probs
-    i_yz = float(rel_entr(p_zy, np.outer(p_z, p_y)).sum())
+    i_yz = float(rel_entr(p_zy, np.outer(p_z, joint.p_y)).sum())
     return i_xz, i_yz
 
 
@@ -220,10 +217,9 @@ def solve(
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
     merged, group = _merge_rows(joint)
-    p_x = joint.probs.sum(axis=1)
     start = np.zeros((len(inits), merged.shape[0], z_card))
-    np.add.at(start, (slice(None), group), np.stack(inits) * p_x[:, None])
-    start /= np.bincount(group, weights=p_x)[:, None]
+    np.add.at(start, (slice(None), group), np.stack(inits) * joint.p_x[:, None])
+    start /= np.bincount(group, weights=joint.p_x)[:, None]
 
     probs, iterations, converged, increases = _fixed_point(
         start, merged, beta, max_iters, tol
@@ -253,8 +249,7 @@ def solve(
 
 def _merge_rows(joint: DiscreteJoint) -> tuple[DiscreteJoint, np.ndarray]:
     """Joint p(t, y) over the distinct rows t of p(y|x), and t(x) per row x."""
-    p_x = joint.probs.sum(axis=1)
-    _, group = np.unique(joint.probs / p_x[:, None], axis=0, return_inverse=True)
+    _, group = np.unique(joint.probs / joint.p_x[:, None], axis=0, return_inverse=True)
     group = group.reshape(-1)
     merged = np.zeros((group.max() + 1, joint.shape[1]))
     np.add.at(merged, group, joint.probs)
@@ -269,13 +264,13 @@ def _fixed_point(
     Returns per-restart final tables, map evaluations, convergence flags and
     the largest free-energy rise between accepted updates.
     """
-    p_x = joint.probs.sum(axis=1)
+    p_x = joint.p_x
     p_yx = joint.probs / p_x[:, None]
     # F = -sum_x p(x) log Z(x) - beta I(X;Y) of one update satisfies
     # L(new) <= F <= L(old) for L = I(X;Z) - beta I(Y;Z) (Tishby, Pereira &
     # Bialek 1999); with Z(x) written without its p(y|x) log p(y|x) part the
     # constant left over is -beta H(Y)
-    offset = -beta * entropy(joint.probs.sum(axis=0))
+    offset = -beta * entropy(joint.p_y)
 
     def update(pzx):
         p_z = p_x @ pzx
@@ -500,10 +495,5 @@ def sweep(
 
 def save_sweep_csv(result: SweepResult, path) -> None:
     """Plot-ready CSV: one row per grid point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "i_xz_nats", "i_yz_nats", "objective"])
-        for p in result.points:
-            writer.writerow(
-                [format(v, ".17g") for v in (p.beta, p.i_xz, p.i_yz, p.objective)]
-            )
+    _write_csv_table(path, ["beta", "i_xz_nats", "i_yz_nats", "objective"],
+                     [[p.beta, p.i_xz, p.i_yz, p.objective] for p in result.points])

@@ -10,14 +10,14 @@ discretization of a spec to a finite joint table of exact cell masses
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint
+from .dist import ConditionalMatrix, DiscreteJoint, _write_csv_table
 from .errors import ValidationError
 
 
@@ -30,9 +30,13 @@ class MixtureComponent:
 
 
 def _finite(value, name: str, convert):
-    """``convert(value)``, which must be finite; a ValidationError names the
-    field otherwise."""
+    """``convert(value)`` of a number or a nested sequence of numbers, which
+    must be finite; a ValidationError names the field otherwise.  Strings
+    and booleans are not numbers here, although ``float`` would take them."""
     try:
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in np.array(value, dtype=object).ravel()):
+            raise TypeError("not a number")
         out = convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
@@ -64,7 +68,7 @@ class MixtureSpec:
                 mean=_finite(c.mean, "component mean", _floats),
                 variances=_finite(c.variances, "component variances", _floats),
                 weight=_finite(c.weight, "component weight", float),
-                class_id=_finite(c.class_id, "component class_id", int),
+                class_id=_finite(c.class_id, "component class_id", float),
             )
             for c in self.components
         )
@@ -75,11 +79,13 @@ class MixtureSpec:
                 raise ValidationError("variances must be positive")
             if c.weight < 0.0:
                 raise ValidationError("component weights must be non-negative")
+            if not c.class_id.is_integer():
+                raise ValidationError(f"component class_id must be an integer, got {c.class_id!r}")
         total = sum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"component weights sum to {total!r}, expected 1")
         comps = tuple(
-            MixtureComponent(c.mean, c.variances, c.weight / total, c.class_id)
+            MixtureComponent(c.mean, c.variances, c.weight / total, int(c.class_id))
             for c in comps
         )
         ids = sorted({c.class_id for c in comps})
@@ -181,11 +187,8 @@ class SampleSet:
 
 
 def save_samples_csv(samples: SampleSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "observed_label", "true_label"])
-        for (x1, x2), o, t in zip(samples.points, samples.observed_labels, samples.true_labels):
-            writer.writerow([format(x1, ".17g"), format(x2, ".17g"), int(o), int(t)])
+    table = np.column_stack([samples.points, samples.observed_labels, samples.true_labels])
+    _write_csv_table(path, ["x1", "x2", "observed_label", "true_label"], table)
 
 
 def sample(spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence) -> SampleSet:

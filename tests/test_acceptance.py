@@ -276,7 +276,7 @@ def test_criterion_7_property_suites():
                 w = cond.weights[order[:k]]
                 mass = w.sum()
                 q = (w[:, None] * cond.rows[order[:k]]).sum(axis=0) / mass
-                den = (q * q / cond.label_marginal().probs).sum() - 1.0
+                den = (q * q / cond.p_y).sum() - 1.0
                 if den > 1e-12:
                     best = min(best, (1.0 / mass - 1.0) / den)
         return best

@@ -1,8 +1,9 @@
-"""The benchmark's traced run wraps and calls library functions by name.
+"""The benchmark's traced run wraps and calls library functions by name,
+and its workloads run CLI commands with fixed flags.
 
 ``bench/`` is kept fixed so its numbers stay comparable from change to
-change; these checks catch a library change that would break it, without
-running the benchmark.
+change; these checks catch a library or CLI change that would break it,
+without running the benchmark.
 """
 
 import importlib
@@ -10,6 +11,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from ibonset import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,6 +34,12 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
 def test_layer_functions_resolve(tracing):
     missing = [
         f"{module}.{name}"
@@ -48,3 +57,16 @@ def test_layer_functions_resolve(tracing):
 def test_suite_keywords_bind(tracing, module, name):
     fn = getattr(importlib.import_module(f"ibonset.{module}"), name)
     inspect.signature(fn).bind_partial(**dict.fromkeys(SUITE_KEYWORDS[module, name]))
+
+
+def test_workload_commands_parse(workloads, tmp_path):
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        work = tmp_path / workload
+        work.mkdir()
+        inputs = workloads.make_inputs(workload, 1, work)
+        for command in workloads.commands(workload, 1, work, inputs):
+            args = parser.parse_args(command.argv)
+            methods = cli._split_list(getattr(args, "method", None) or "all")
+            unknown = [m for m in methods if m != "all" and m not in cli._ESTIMATORS]
+            assert unknown == [], f"{workload}: {command.name}"

@@ -73,7 +73,7 @@ def _reference_loss_and_gradients(weights, biases, x, labels):
 
 def _reference_fit(samples, cfg):
     """Plain mini-batch SGD: gather each batch through the permutation,
-    step by ``w -= lr * dw``; returns weights, biases and loss history."""
+    step by ``w -= lr * dw``; returns weights and biases."""
     labels = samples.observed_labels
     mean = samples.points.mean(axis=0)
     std = samples.points.std(axis=0)
@@ -87,10 +87,6 @@ def _reference_fit(samples, cfg):
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
 
-    def full_loss():
-        return _reference_loss_and_gradients(weights, biases, x, labels)[0]
-
-    history = [full_loss()]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch_size):
@@ -101,8 +97,7 @@ def _reference_fit(samples, cfg):
             for w, b, dw, db in zip(weights, biases, gw, gb):
                 w -= cfg.learning_rate * dw
                 b -= cfg.learning_rate * db
-        history.append(full_loss())
-    return weights, biases, history
+    return weights, biases
 
 
 def _labeled_points(n, n_classes, seed):
@@ -122,11 +117,10 @@ def _labeled_points(n, n_classes, seed):
 ], ids=["2-classes", "5-classes-2-hidden"])
 def test_fit_is_bitwise_the_reference_loop(samples, cfg):
     model = fit(samples, cfg)
-    weights, biases, history = _reference_fit(samples, cfg)
+    weights, biases = _reference_fit(samples, cfg)
     assert len(model.weights) == len(weights) == len(cfg.hidden) + 1
     for got, want in [*zip(model.weights, weights), *zip(model.biases, biases)]:
         assert np.array_equal(got, want)
-    assert model.history == history
 
     x = (samples.points - model.input_mean) / model.input_std
     logits, _ = _reference_forward(weights, biases, x)
@@ -198,23 +192,20 @@ def test_zero_epochs_leaves_init_untouched():
     assert any(
         not np.array_equal(wa, wt) for wa, wt in zip(a.weights, trained.weights)
     )
-    assert len(a.history) == 1
 
 
 def test_training_reduces_loss():
     samples = sample(noise_preset(0.2), 4000, seed=4)
-    model = fit(samples, TrainConfig(epochs=40, seed=0))
-    assert model.history[-1] <= model.history[0]
 
+    def full_data_loss(model):
+        x = (samples.points - model.input_mean) / model.input_std
+        return loss_and_gradients(
+            model.weights, model.biases, x, samples.observed_labels
+        )[0]
 
-def test_history_ends_with_full_data_loss_of_final_params():
-    samples = sample(noise_preset(0.2), 500, seed=3)
-    model = fit(samples, TrainConfig(epochs=5, seed=2))
-    x = (samples.points - model.input_mean) / model.input_std
-    loss, _, _ = loss_and_gradients(
-        model.weights, model.biases, x, samples.observed_labels
-    )
-    assert model.history[-1] == loss
+    untrained = fit(samples, TrainConfig(epochs=0, seed=0))
+    trained = fit(samples, TrainConfig(epochs=40, seed=0))
+    assert full_data_loss(trained) <= full_data_loss(untrained)
 
 
 def test_single_class_rejected():

@@ -72,6 +72,12 @@ def test_estimate_malformed_input_exits_1(tmp_path, capsys):
         ("class_id", lambda doc: doc["components"][0].update(class_id="b")),
         ("noise", lambda doc: doc.update(noise="abc")),
         ("noise", lambda doc: doc.update(noise=[["x", 0.2], [0.2, 0.8]])),
+        # strings, booleans and fractions once read as numbers, exit 0
+        ("class_id", lambda doc: doc["components"][1].update(class_id=1.7)),
+        ("class_id", lambda doc: doc["components"][1].update(class_id=True)),
+        ("weight", lambda doc: doc["components"][0].update(weight="0.5")),
+        ("variances", lambda doc: doc["components"][0].update(variances=[True, 0.25])),
+        ("noise", lambda doc: doc.update(noise=[["0.8", 0.2], [0.2, 0.8]])),
     ]:
         doc = ibonset.noise_preset(0.2).to_dict()
         edit(doc)
@@ -392,6 +398,24 @@ def test_estimate_zero_samples_exits_1(tmp_path, capsys, via):
     assert "at least one sample" in captured.err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, argv", [
+    ("estimate", ["--preset", "noise-0.2", "--method", "functional"]),
+    ("gen", ["--preset", "noise-0.2", "--n", "5"]),
+    ("sweep", ["--preset", "noise-0.2", "--beta-points", "7"]),
+    ("table", ["--rates", "0.2"]),
+])
+def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, via, command, argv):
+    # numpy once ended each of these in an "expected non-negative integer"
+    # traceback
+    monkeypatch.chdir(tmp_path)
+    seed = ["--seed", "-1"] if via == "flag" else _config_argv(tmp_path, {"seed": -1})
+    assert main([command, *argv, *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+
+
 def test_table_optional_columns(tmp_path):
     out = tmp_path / "table.json"
     code = main([
@@ -412,6 +436,16 @@ def test_maxcorr_preset(tmp_path, capsys):
     doc = _read_json(out)
     assert doc["rho_m"] == pytest.approx(0.6, abs=1e-9)
     assert "0.6" in capsys.readouterr().out
+
+
+def test_maxcorr_independent_input(tmp_path, capsys):
+    # rho_m is roundoff here; 1/rho_m^2 was once printed and reported as a
+    # threshold of about 1.5e31, while estimate found the input independent
+    out = tmp_path / "mc.json"
+    assert main(["estimate", "--preset", "overlap-0", "--method", "maxcorr"]) == 2
+    assert main(["maxcorr", "--preset", "overlap-0", "--out", str(out)]) == 0
+    assert "1/rho_m^2       = inf (independent)" in capsys.readouterr().out
+    assert _read_json(out)["beta_lower_inverse"] is None
 
 
 def test_out_dir_env_redirect(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from ibonset import (
     ConditionalMatrix,
     DiscreteJoint,
-    Marginal,
     ValidationError,
     conditional_from_joint,
     entropy,
@@ -43,9 +42,7 @@ def test_joint_columns_match_label_marginal(rng):
         weights = rng.dirichlet(np.ones(n) * 3.0)
         cond = ConditionalMatrix(rows, weights)
         joint = joint_from_conditional(cond)
-        np.testing.assert_allclose(
-            joint.probs.sum(axis=0), cond.label_marginal().probs, atol=1e-12
-        )
+        np.testing.assert_allclose(joint.probs.sum(axis=0), cond.p_y, atol=1e-12)
         np.testing.assert_allclose(joint.probs.sum(axis=1), cond.weights, atol=1e-12)
 
 
@@ -109,7 +106,9 @@ def test_validation_rejects_bad_mass():
     with pytest.raises(ValidationError):
         DiscreteJoint([[0.5, 0.4]])  # sums to 0.9
     with pytest.raises(ValidationError):
-        Marginal([0.5, -0.5, 1.0])
+        entropy([0.5, -0.5, 1.0])
+    with pytest.raises(ValidationError, match="mass"):
+        entropy([0.5, 0.4])
     with pytest.raises(ValidationError):
         ConditionalMatrix([[0.7, 0.2], [0.5, 0.5]])
 
@@ -127,6 +126,32 @@ def test_zero_mass_rows_pruned_with_warning():
         joint = DiscreteJoint([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
     assert joint.shape == (2, 2)
     np.testing.assert_array_equal(joint.probs, np.eye(2) / 2.0)
+    np.testing.assert_array_equal(joint.p_x, [0.5, 0.5])
+    np.testing.assert_array_equal(joint.p_y, [0.5, 0.5])
+
+
+def test_joint_marginals_are_the_axis_sums(rng):
+    for _ in range(20):
+        joint = random_joint(rng)
+        assert np.array_equal(joint.p_x, joint.probs.sum(axis=1))
+        assert np.array_equal(joint.p_y, joint.probs.sum(axis=0))
+    for marginal in (joint.p_x, joint.p_y):
+        with pytest.raises(ValueError):
+            marginal[0] = 0.5
+
+
+def test_conditional_label_marginal_is_bitwise_the_renormalized_mixture(rng):
+    for _ in range(20):
+        n, c = int(rng.integers(2, 40)), int(rng.integers(2, 6))
+        cond = ConditionalMatrix(
+            rng.dirichlet(np.ones(c), size=n), rng.dirichlet(np.ones(n) * 2.0)
+        )
+        # reference: p(x) @ p(y|x) checked and renormalized as a stand-alone
+        # probability vector, i.e. a clipped copy divided by its sum
+        mixture = np.clip(np.array(cond.weights @ cond.rows), 0.0, None)
+        assert np.array_equal(cond.p_y, mixture / mixture.sum())
+    with pytest.raises(ValueError):
+        cond.p_y[0] = 0.5
 
 
 def test_weights_must_be_positive():

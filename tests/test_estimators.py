@@ -139,6 +139,9 @@ def test_subset_search_two_cluster():
     # the conspicuous subset is one full cluster
     assert result.member_indices in ((0, 1, 2, 3), (4, 5, 6, 7))
     assert result.mass == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(sorted(result.label_dist), [0.2, 0.8], atol=1e-12)
+    with pytest.raises(ValueError):
+        result.label_dist[0] = 0.5
 
 
 def test_subset_search_deterministic_is_one():
@@ -516,6 +519,14 @@ def test_onset_correction_permutation_equivariant(rng):
 def test_onset_correction_constant_scores_rejected():
     with pytest.raises(InvalidDirectionError):
         onset_correction(two_cluster_joint(0.2), [2.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_onset_correction_rejects_non_finite_scores(bad):
+    # a NaN score once came back as a NaN matrix; beta_for_scores rejected it
+    for fn in (onset_correction, beta_for_scores):
+        with pytest.raises(ValidationError, match="non-finite"):
+            fn(two_cluster_joint(0.2), [bad, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -233,6 +234,16 @@ def test_save_sweep_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "beta,i_xz_nats,i_yz_nats,objective"
     assert len(lines) == 9
+    # byte for byte the csv loop over the points
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["beta", "i_xz_nats", "i_yz_nats", "objective"])
+        for p in result.points:
+            writer.writerow(
+                [format(v, ".17g") for v in (p.beta, p.i_xz, p.i_yz, p.objective)]
+            )
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_encoder_validation():

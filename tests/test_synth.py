@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -62,6 +64,30 @@ def test_spec_validation():
     for noise in ("abc", [["x", 0.2], [0.2, 0.8]]):
         with pytest.raises(ValidationError, match="noise"):
             MixtureSpec((good,), noise=noise)
+    # strings, booleans and fractional class ids were once coerced: "1",
+    # true and 1.7 all read as class 1, "0.5" as a weight of 0.5
+    doc = noise_preset(0.2).to_dict()
+    for field, edit in [
+        ("class_id", lambda d: d["components"][1].update(class_id=1.7)),
+        ("class_id", lambda d: d["components"][1].update(class_id=True)),
+        ("class_id", lambda d: d["components"][1].update(class_id="1")),
+        ("weight", lambda d: d["components"][0].update(weight="0.5")),
+        ("mean", lambda d: d["components"][0].update(mean=["8", 0.0])),
+        ("variances", lambda d: d["components"][0].update(variances=[True, 0.25])),
+        ("noise", lambda d: d.update(noise=[["0.8", 0.2], [0.2, 0.8]])),
+        ("noise", lambda d: d.update(noise=[[True, 0.0], [0.2, 0.8]])),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(ValidationError, match=field):
+            MixtureSpec.from_dict(bad)
+    # ints, integral floats and numpy scalars are numbers
+    spec = MixtureSpec((
+        MixtureComponent((np.float64(-8.0), 0), (0.25, np.float32(0.25)), 0.5, np.int64(0)),
+        MixtureComponent((8, 0.0), (1, 0.25), np.float64(0.5), 1.0),
+    ), noise=np.eye(2, dtype=np.float32))
+    assert [c.class_id for c in spec.components] == [0, 1]
+    assert all(type(c.class_id) is int for c in spec.components)
 
 
 def test_sample_identity_noise_keeps_labels():
@@ -203,6 +229,26 @@ def test_spec_json_round_trip(tmp_path):
     assert "seed" not in spec.to_dict()
     older = MixtureSpec.from_dict({**spec.to_dict(), "seed": 11})
     assert older.components == spec.components
+
+
+def _reference_samples_csv(samples, path):
+    """The samples writer as a csv loop over numpy scalars."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "observed_label", "true_label"])
+        for (x1, x2), o, t in zip(samples.points, samples.observed_labels, samples.true_labels):
+            writer.writerow([format(x1, ".17g"), format(x2, ".17g"), int(o), int(t)])
+
+
+def test_samples_csv_bytes_match_the_reference_loop(tmp_path):
+    drawn = sample(noise_preset(0.2), 500, seed=7)
+    extreme = synth.SampleSet(
+        [[-0.0, 1e-300], [1e20, -3.5], [0.1, 2.0 / 3.0]], [0, 2, 11], [1, 0, 11]
+    )
+    for samples in (drawn, extreme):
+        save_samples_csv(samples, tmp_path / "got.csv")
+        _reference_samples_csv(samples, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_samples_csv_round_trip(tmp_path):
