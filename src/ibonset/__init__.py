@@ -45,7 +45,6 @@ from .solver import (
     sweep,
 )
 from .synth import (
-    MixtureComponent,
     MixtureSpec,
     SampleSet,
     analytic_posterior,

@@ -139,52 +139,57 @@ class _Problem:
         self.prior = prior
 
 
-def _resolve_spec(config) -> synth.MixtureSpec | None:
-    if config.get("preset"):
-        return synth.get_preset(config["preset"])
-    if config.get("spec"):
-        return synth.load_spec_json(config["spec"])
-    return None
+def _input_kind(config) -> str:
+    """The one input option of ``_INPUT`` the command was given."""
+    names = [k for k in _INPUT if k in config]
+    given = [k for k in names if config[k]]
+    if len(given) != 1:
+        raise ValidationError(
+            f"give exactly one input ({', '.join(names)}); got {given or 'none'}"
+        )
+    return given[0]
+
+
+#: mixture input option -> reader of its value
+_SPEC_READERS = {"spec": synth.load_spec_json, "preset": synth.get_preset}
+
+
+def _spec_problem(spec: synth.MixtureSpec, *, samples: int | None = None, seed: int = 0,
+                  bins: int = 32, need_joint_table: bool = False) -> _Problem:
+    """The exact estimation input of a mixture spec.
+
+    With ``samples`` set, analytic posteriors of that many sampled points;
+    otherwise the compact class-conditional table when noise is present, or
+    the discretized joint when it is not (or when a joint table is
+    required, as for sweeps).
+    """
+    noise, prior = spec.noise, spec.class_priors()
+    if samples is not None:
+        points = synth.sample(spec, samples, seed=_task_seed(seed, 0)).points
+        cond = synth.analytic_posterior(spec, points)
+    elif noise is not None and not need_joint_table:
+        # rows take one distinct value per true class, so the confusion
+        # table weighted by the priors is the exact sufficient statistic
+        cond = dist.ConditionalMatrix(noise, prior)
+    else:
+        joint = synth.discretize(spec, bins_per_axis=bins)
+        return _Problem(dist.conditional_from_joint(joint), joint, noise, prior)
+    return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
 
 
 def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
-    """Build the estimation input from exactly one of cond/joint/spec/preset.
-
-    Mixture inputs use the exact route: with ``samples`` set, analytic
-    posteriors of sampled points; otherwise the compact class-conditional
-    table when noise is present, or the exact discretized joint when it is
-    not (or when a joint table is required, as for sweeps).
-    """
-    sources = [k for k in ("cond", "joint", "spec", "preset") if config.get(k)]
-    if len(sources) != 1:
-        raise ValidationError(
-            f"give exactly one input (cond, joint, spec, or preset); got {sources or 'none'}"
-        )
-    kind = sources[0]
-
+    """Build the estimation input from exactly one of cond/joint/spec/preset;
+    a mixture goes through :func:`_spec_problem`."""
+    kind = _input_kind(config)
     if kind == "cond":
         cond = dist.load_conditional_csv(config["cond"])
         return _Problem(cond, dist.joint_from_conditional(cond))
     if kind == "joint":
         joint = dist.load_joint_csv(config["joint"])
         return _Problem(dist.conditional_from_joint(joint), joint)
-
-    spec = _resolve_spec(config)
-    noise = spec.noise
-    prior = spec.class_priors()
-
-    if config.get("samples") is not None:
-        seq = _task_seed(config.get("seed", 0), 0)
-        points = synth.sample(spec, config["samples"], seed=seq).points
-        cond = synth.analytic_posterior(spec, points)
-        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
-    if noise is not None and not need_joint_table:
-        # rows take one distinct value per true class, so the confusion
-        # table weighted by the priors is the exact sufficient statistic
-        cond = dist.ConditionalMatrix(noise, prior)
-        return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
-    joint = synth.discretize(spec, bins_per_axis=config.get("bins") or 32)
-    return _Problem(dist.conditional_from_joint(joint), joint, noise, prior)
+    return _spec_problem(_SPEC_READERS[kind](config[kind]), samples=config.get("samples"),
+                         seed=config.get("seed", 0), bins=config["bins"],
+                         need_joint_table=need_joint_table)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +197,8 @@ def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(config) -> int:
-    spec = _resolve_spec(config)
-    if spec is None:
-        raise ValidationError("gen needs --preset or --spec")
+    kind = _input_kind(config)
+    spec = _SPEC_READERS[kind](config[kind])
     samples = synth.sample(spec, config["n"], seed=_task_seed(config["seed"], 0))
     synth.save_samples_csv(samples, _out_path(config["out_samples"]))
     synth.save_spec_json(spec, _out_path(config["out_spec"]))
@@ -349,12 +353,10 @@ def _cmd_sweep(config) -> int:
 
 
 def _table_row(rho: float, config) -> dict:
-    """One noise-table row; the compact two-row table is the exact
-    class-conditional input, so every column is deterministic."""
-    noise = synth.symmetric_flip(rho)
-    prior = np.array([0.5, 0.5])
-    cond = dist.ConditionalMatrix(noise, prior)
-    problem = _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
+    """One noise-table row of ``noise-<rho>``; the compact two-row table is
+    the exact class-conditional input, so every column is deterministic."""
+    spec = synth.noise_preset(rho)
+    problem = _spec_problem(spec)
     theory = _theory(problem, ("class-conditional", "subset", "functional"), config)
     row: dict[str, float | None] = {
         "noise_rate": rho,
@@ -364,10 +366,7 @@ def _table_row(rho: float, config) -> dict:
     }
 
     if config["learned"]:
-        spec = synth.noise_preset(rho)
-        samples = synth.sample(
-            spec, config["samples"], seed=_task_seed(config["seed"], 2)
-        )
+        samples = synth.sample(spec, config["samples"], seed=_task_seed(config["seed"], 2))
         try:
             model = classifier.fit(
                 samples, classifier.TrainConfig(seed=config["seed"])
@@ -378,8 +377,7 @@ def _table_row(rho: float, config) -> dict:
             row["subset_learned_posterior"] = None
 
     if config["sweep_column"]:
-        spec = synth.noise_preset(rho)
-        joint_exact = synth.discretize(spec)
+        joint_exact = _spec_problem(spec, need_joint_table=True).joint
         target = row["class_conditional"] or 2.0
         grid = _geometric_grid(max(0.5, target / 2.0), target * 2.0, config["beta_points"])
         result = solver.sweep(joint_exact, grid, seed=_task_seed(config["seed"], 3))

@@ -342,14 +342,22 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
 # ---------------------------------------------------------------------------
 
 def _centered_scores(joint: DiscreteJoint, scores) -> tuple[np.ndarray, float]:
-    """A per-example score vector centred to mean 0 under p(x), and the
-    larger of 1 and its largest magnitude, which scales the tolerances."""
+    """A per-example score vector centred to mean 0 under p(x), and its
+    variance.  Raises :class:`InvalidDirectionError` when the variance is at
+    most ``DENOM_TOL`` times the square of the larger of 1 and the largest
+    score magnitude: such scores are constant on the support."""
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or len(s) != joint.shape[0]:
         raise ValidationError("scores length does not match joint rows")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores contain non-finite entries")
-    return s - float(joint.p_x @ s), max(1.0, float(np.abs(s).max()))
+    # centering first keeps the quadratic forms non-negative and makes
+    # affine invariance hold to roundoff instead of suffering cancellation
+    centered = s - float(joint.p_x @ s)
+    var = float(joint.p_x @ (centered * centered))
+    if var <= DENOM_TOL * max(1.0, float(np.abs(s).max())) ** 2:
+        raise InvalidDirectionError("scores are constant on the support")
+    return centered, var
 
 
 def beta_for_scores(joint: DiscreteJoint, scores) -> float:
@@ -359,12 +367,7 @@ def beta_for_scores(joint: DiscreteJoint, scores) -> float:
     affine maps of the scores.  Raises :class:`InvalidDirectionError` for
     scores constant on the support or blind to the labels.
     """
-    # centering first keeps both quadratic forms non-negative and makes the
-    # affine invariance hold to roundoff instead of suffering cancellation
-    centered, scale = _centered_scores(joint, scores)
-    var = float(joint.p_x @ (centered * centered))
-    if var <= DENOM_TOL * scale ** 2:
-        raise InvalidDirectionError("scores are constant on the support")
+    centered, var = _centered_scores(joint, scores)
     cond_mean = (joint.probs.T @ centered) / joint.p_y
     den = float(joint.p_y @ (cond_mean * cond_mean))
     if den <= DENOM_TOL * var:
@@ -517,10 +520,10 @@ def onset_correction(joint: DiscreteJoint, scores) -> np.ndarray:
 
     Returns the matrix (s(x) - mean) * sum_x' p(x', y)(s(x') - mean), one
     entry per (x, y) cell, normalized up to an arbitrary positive scale
-    (set to 1 by convention).  Every row sums to zero.
+    (set to 1 by convention).  Every row sums to zero.  Raises
+    :class:`InvalidDirectionError` for scores constant on the support, by
+    the rule of :func:`beta_for_scores`.
     """
-    centered, scale = _centered_scores(joint, scores)
-    if np.abs(centered).max() <= 1e-12 * scale:
-        raise InvalidDirectionError("scores are constant; no onset direction")
+    centered, _ = _centered_scores(joint, scores)
     per_label = joint.probs.T @ centered
     return np.outer(centered, per_label)

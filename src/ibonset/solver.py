@@ -21,6 +21,7 @@ noise band of the lowest grid points (see :func:`detect_onset`).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,12 +419,13 @@ def sweep(
 
     Each beta is solved independently with its own derived seed, so the
     result is identical whether points run serially or across ``workers``
-    processes.  Since :func:`solve` runs on the distinct rows of p(y|x),
-    a serial sweep of a table with many equal rows is about as fast as a
-    pool of two workers.  ``warm_start`` instead anneals from the top of
-    the grid downward, feeding each solution as an extra initialization to
-    the next lower beta; this can change which local optimum is reached
-    and is off by default.
+    processes; the pool never holds more processes than grid points or
+    CPUs, and 0 or 1 worker runs serially.  Since :func:`solve` runs on the
+    distinct rows of p(y|x), a serial sweep of a table with many equal rows
+    is about as fast as a pool of two workers.  ``warm_start`` instead
+    anneals from the top of the grid downward, feeding each solution as an
+    extra initialization to the next lower beta; this can change which
+    local optimum is reached and is off by default.
 
     ``protocol`` records the detection band, the solver settings, the
     points whose free energy rose (``non_monotone_betas``), the rows the
@@ -437,6 +439,8 @@ def sweep(
         )
     if np.any(np.diff(betas) <= 0.0):
         raise ValidationError("beta grid must be strictly ascending")
+    if workers is not None and workers < 0:
+        raise ValidationError(f"workers must be non-negative, got {workers}")
     if z_card is None:
         z_card = default_z_card(joint)
 
@@ -465,7 +469,9 @@ def sweep(
             (joint, float(beta), z_card, child, max_iters, restarts)
             for beta, child in zip(betas, children)
         ]
-        if workers and workers > 1:
+        # the fork start method launches every worker up front
+        workers = min(workers or 1, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
             # imported here so that the serial path never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 

@@ -21,127 +21,106 @@ from .dist import ConditionalMatrix, DiscreteJoint, _write_csv_table
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    mean: tuple[float, float]
-    variances: tuple[float, float]
-    weight: float
-    class_id: int
-
-
-def _finite(value, name: str, convert):
-    """``convert(value)`` of a number or a nested sequence of numbers, which
-    must be finite; a ValidationError names the field otherwise.  Strings
-    and booleans are not numbers here, although ``float`` would take them."""
+def _finite(value, name: str) -> np.ndarray:
+    """A float array of a number or a nested sequence of numbers, which must
+    be finite; a ValidationError names the field otherwise.  Strings and
+    booleans are not numbers here, although ``float`` would take them."""
     try:
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    for v in np.array(value, dtype=object).ravel()):
             raise TypeError("not a number")
-        out = convert(value)
+        out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
+        raise ValidationError(
+            f"{name} must be a number or a rectangular array of numbers, got {value!r}"
+        ) from exc
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} must be finite, got {out!r}")
     return out
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """A 2D diagonal-covariance Gaussian mixture with optional label noise.
 
-    ``noise`` is a row-stochastic confusion table p(observed | true); None
-    means labels are observed exactly.
+    Component k has mean ``means[k]`` and per-axis variances
+    ``variances[k]`` (both K x 2), mixing weight ``weights[k]`` and true
+    class ``class_ids[k]`` (0..C-1); all are read-only arrays, and the
+    weights are renormalized to sum to 1.  ``noise`` is a row-stochastic
+    confusion table p(observed | true); None means labels are observed
+    exactly.
     """
 
-    components: tuple[MixtureComponent, ...]
+    means: np.ndarray
+    variances: np.ndarray
+    weights: np.ndarray
+    class_ids: np.ndarray
     noise: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.components:
+        means = _finite(self.means, "component mean")
+        variances = _finite(self.variances, "component variances")
+        weights = _finite(self.weights, "component weight")
+        ids = _finite(self.class_ids, "component class_id")
+        if weights.ndim != 1 or not len(weights):
             raise ValidationError("mixture needs at least one component")
-        comps = tuple(
-            MixtureComponent(
-                mean=_finite(c.mean, "component mean", _floats),
-                variances=_finite(c.variances, "component variances", _floats),
-                weight=_finite(c.weight, "component weight", float),
-                class_id=_finite(c.class_id, "component class_id", float),
+        k = len(weights)
+        if means.shape != (k, 2) or variances.shape != (k, 2) or ids.shape != (k,):
+            raise ValidationError(
+                f"{k} components in 2 dimensions need K x 2 means and variances and "
+                f"K class_ids; got {means.shape}, {variances.shape} and {ids.shape}"
             )
-            for c in self.components
-        )
-        for c in comps:
-            if len(c.mean) != 2 or len(c.variances) != 2:
-                raise ValidationError("components live in 2 dimensions")
-            if min(c.variances) <= 0.0:
-                raise ValidationError("variances must be positive")
-            if c.weight < 0.0:
-                raise ValidationError("component weights must be non-negative")
-            if not c.class_id.is_integer():
-                raise ValidationError(f"component class_id must be an integer, got {c.class_id!r}")
-        total = sum(c.weight for c in comps)
+        if variances.min() <= 0.0:
+            raise ValidationError("variances must be positive")
+        if weights.min() < 0.0:
+            raise ValidationError("component weights must be non-negative")
+        if np.any(ids != np.round(ids)):
+            raise ValidationError(f"component class_id must be integers, got {ids.tolist()}")
+        total = sum(weights.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"component weights sum to {total!r}, expected 1")
-        comps = tuple(
-            MixtureComponent(c.mean, c.variances, c.weight / total, int(c.class_id))
-            for c in comps
-        )
-        ids = sorted({c.class_id for c in comps})
-        if ids != list(range(len(ids))):
+        weights = weights / total
+        ids = ids.astype(int)
+        n_classes = len(set(ids.tolist()))
+        if ids.min() != 0 or ids.max() != n_classes - 1:
             raise ValidationError("class ids must be 0..C-1")
         noise = self.noise
         if noise is not None:
-            noise = _finite(noise, "noise (confusion table)", lambda v: np.array(v, dtype=float))
-            if noise.ndim != 2 or noise.shape[0] != len(ids):
+            noise = _finite(noise, "noise (confusion table)")
+            if noise.ndim != 2 or noise.shape[0] != n_classes:
                 raise ValidationError("confusion table rows must match class count")
             if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > 1e-9):
                 raise ValidationError("confusion rows must be stochastic")
             noise = noise / noise.sum(axis=1, keepdims=True)
-            noise.setflags(write=False)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "noise", noise)
+        for name, value in (("means", means), ("variances", variances),
+                            ("weights", weights), ("class_ids", ids), ("noise", noise)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_true_classes(self) -> int:
-        return max(c.class_id for c in self.components) + 1
+        return int(self.class_ids.max()) + 1
 
     def class_priors(self) -> np.ndarray:
-        priors = np.zeros(self.num_true_classes)
-        for c in self.components:
-            priors[c.class_id] += c.weight
-        return priors
+        return np.bincount(self.class_ids, self.weights, self.num_true_classes)
 
     def to_dict(self) -> dict:
+        keys = ("mean", "variances", "weight", "class_id")
+        columns = (a.tolist() for a in (self.means, self.variances, self.weights, self.class_ids))
         return {
-            "components": [
-                {
-                    "mean": list(c.mean),
-                    "variances": list(c.variances),
-                    "weight": c.weight,
-                    "class_id": c.class_id,
-                }
-                for c in self.components
-            ],
+            "components": [dict(zip(keys, component)) for component in zip(*columns)],
             "noise": None if self.noise is None else self.noise.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MixtureSpec":
         try:
-            comps = tuple(
-                MixtureComponent(
-                    mean=tuple(c["mean"]),
-                    variances=tuple(c["variances"]),
-                    weight=c["weight"],
-                    class_id=c["class_id"],
-                )
-                for c in doc["components"]
-            )
+            columns = [[c[key] for c in doc["components"]]
+                       for key in ("mean", "variances", "weight", "class_id")]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed mixture document: {exc}") from exc
-        return cls(comps, doc.get("noise"))
+        return cls(*columns, doc.get("noise"))
 
 
 def save_spec_json(spec: MixtureSpec, path) -> None:
@@ -197,14 +176,9 @@ def sample(spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence) -> Sam
     if n < 1:
         raise ValidationError("need at least one sample")
     rng = np.random.default_rng(seed)
-    weights = np.array([c.weight for c in spec.components])
-    means = np.array([c.mean for c in spec.components])
-    stds = np.sqrt([c.variances for c in spec.components])
-    class_ids = np.array([c.class_id for c in spec.components])
-
-    comp = rng.choice(len(weights), size=n, p=weights)
-    points = means[comp] + rng.standard_normal((n, 2)) * stds[comp]
-    true = class_ids[comp]
+    comp = rng.choice(len(spec.weights), size=n, p=spec.weights)
+    points = spec.means[comp] + rng.standard_normal((n, 2)) * np.sqrt(spec.variances)[comp]
+    true = spec.class_ids[comp]
     if spec.noise is None:
         observed = true.copy()
     else:
@@ -223,21 +197,17 @@ def _class_log_densities(spec: MixtureSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError("points must be N x 2")
-    n_classes = spec.num_true_classes
-    out = np.full((len(pts), n_classes), -np.inf)
-    per_class: dict[int, list[np.ndarray]] = {c: [] for c in range(n_classes)}
-    for comp in spec.components:
-        if comp.weight <= 0.0:
-            continue
-        mean = np.array(comp.mean)
-        var = np.array(comp.variances)
-        log_norm = -0.5 * float(np.log(2.0 * np.pi * var).sum())
-        d = pts - mean
-        logpdf = log_norm - 0.5 * ((d * d) / var).sum(axis=1)
-        per_class[comp.class_id].append(math.log(comp.weight) + logpdf)
-    for c, terms in per_class.items():
-        if terms:
-            out[:, c] = np.logaddexp.reduce(terms, axis=0)
+    live = spec.weights > 0.0
+    var = spec.variances[live]
+    log_norm = -0.5 * np.log(2.0 * np.pi * var).sum(axis=1)
+    d = pts[:, None, :] - spec.means[live]
+    logpdf = log_norm - 0.5 * ((d * d) / var).sum(axis=2)
+    # math.log, not np.log: numpy's vectorized log can differ in the last bit
+    terms = np.array([math.log(w) for w in spec.weights[live]]) + logpdf
+    ids = spec.class_ids[live]
+    out = np.full((len(pts), spec.num_true_classes), -np.inf)
+    for c in set(ids.tolist()):
+        out[:, c] = np.logaddexp.reduce(terms[:, ids == c], axis=1)
     return out
 
 
@@ -247,7 +217,7 @@ def analytic_posterior(spec: MixtureSpec, points) -> ConditionalMatrix:
     Evaluated in log space, so far-out points underflow gracefully instead
     of erroring.
     """
-    log_dens = _class_log_densities(spec, np.asarray(points, dtype=float))
+    log_dens = _class_log_densities(spec, points)
     shifted = log_dens - log_dens.max(axis=1, keepdims=True)
     post = np.exp(shifted)
     post /= post.sum(axis=1, keepdims=True)
@@ -265,15 +235,14 @@ MASS_FLOOR = 1e-12
 def default_box(spec: MixtureSpec) -> tuple[tuple[float, float], tuple[float, float]]:
     """Axis-aligned box reaching ``BOX_SIGMAS`` standard deviations beyond
     the extreme component means."""
-    means = np.array([c.mean for c in spec.components])
-    reach = BOX_SIGMAS * np.sqrt([c.variances for c in spec.components])
-    lo, hi = (means - reach).min(axis=0), (means + reach).max(axis=0)
+    reach = BOX_SIGMAS * np.sqrt(spec.variances)
+    lo, hi = (spec.means - reach).min(axis=0), (spec.means + reach).max(axis=0)
     return (lo[0], hi[0]), (lo[1], hi[1])
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF; erfc keeps the lower tail accurate."""
-    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    return np.reshape([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(z)], np.shape(z))
 
 
 def discretize(spec: MixtureSpec, bins_per_axis: int = 32) -> DiscreteJoint:
@@ -292,13 +261,15 @@ def discretize(spec: MixtureSpec, bins_per_axis: int = 32) -> DiscreteJoint:
     edges_x = np.linspace(x_lo, x_hi, bins_per_axis + 1)
     edges_y = np.linspace(y_lo, y_hi, bins_per_axis + 1)
 
+    # per component (rows): CDF differences along each axis, then the cell
+    # masses as their outer product times the weight
+    sds = np.sqrt(spec.variances)
+    mass_x = np.diff(_normal_cdf((edges_x - spec.means[:, :1]) / sds[:, :1]), axis=1)
+    mass_y = np.diff(_normal_cdf((edges_y - spec.means[:, 1:]) / sds[:, 1:]), axis=1)
+    cells = mass_x[:, :, None] * mass_y[:, None, :] * spec.weights[:, None, None]
     class_mass = np.zeros((bins_per_axis * bins_per_axis, spec.num_true_classes))
-    for comp in spec.components:
-        sx, sy = np.sqrt(comp.variances)
-        cdf_x = _normal_cdf((edges_x - comp.mean[0]) / sx)
-        cdf_y = _normal_cdf((edges_y - comp.mean[1]) / sy)
-        cells = np.outer(np.diff(cdf_x), np.diff(cdf_y)) * comp.weight
-        class_mass[:, comp.class_id] += cells.ravel()
+    # np.add.at sums each class column in component order, as a loop would
+    np.add.at(class_mass.T, spec.class_ids, cells.reshape(len(cells), -1))
 
     table = class_mass if spec.noise is None else class_mass @ spec.noise
     total = table.sum()
@@ -338,12 +309,8 @@ def _pair(distance: float, weights, noise) -> MixtureSpec:
     """Classes 0 and 1 as Gaussians of variance ``PRESET_VARIANCE`` on the
     first axis, ``distance`` apart."""
     half = distance / 2.0
-    var = (PRESET_VARIANCE, PRESET_VARIANCE)
-    comps = (
-        MixtureComponent((-half, 0.0), var, weights[0], 0),
-        MixtureComponent((half, 0.0), var, weights[1], 1),
-    )
-    return MixtureSpec(comps, noise)
+    return MixtureSpec([(-half, 0.0), (half, 0.0)], np.full((2, 2), PRESET_VARIANCE),
+                       weights, [0, 1], noise)
 
 
 def noise_preset(rho: float) -> MixtureSpec:
@@ -359,18 +326,14 @@ def overlap_preset(distance: float) -> MixtureSpec:
 
 def get_preset(name: str) -> MixtureSpec:
     """Resolve preset names like ``noise-0.2`` or ``overlap-3.2``."""
-    parts = name.split("-", 1)
-    if len(parts) == 2:
-        kind, raw = parts
-        try:
-            value = float(raw)
-        except ValueError:
-            value = None
-        if value is not None:
-            if kind == "noise":
-                return noise_preset(value)
-            if kind == "overlap":
-                return overlap_preset(value)
-    raise ValidationError(
-        f"unknown preset {name!r}; expected noise-<rate> or overlap-<distance>"
-    )
+    kind, _, raw = name.partition("-")
+    make = {"noise": noise_preset, "overlap": overlap_preset}.get(kind)
+    try:
+        value = float(raw)
+    except ValueError:
+        make = None
+    if make is None:
+        raise ValidationError(
+            f"unknown preset {name!r}; expected noise-<rate> or overlap-<distance>"
+        )
+    return make(value)

@@ -170,9 +170,8 @@ def test_noisy_posteriors_near_bayes_at_cores():
     spec = noise_preset(0.2)
     samples = sample(spec, 10_000, seed=2)
     model = fit(samples, TrainConfig(seed=0))
-    means = np.array([c.mean for c in spec.components])
     core = (
-        ((samples.points[:, None, :] - means[None]) ** 2).sum(axis=2).min(axis=1)
+        ((samples.points[:, None, :] - spec.means[None]) ** 2).sum(axis=2).min(axis=1)
         < 0.5
     )
     rows = predict_proba(model, samples.points[core]).rows

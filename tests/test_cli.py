@@ -284,6 +284,32 @@ def test_gen_without_spec_exits_1():
     assert main(["gen", "--n", "10"]) == 1
 
 
+def test_gen_with_two_inputs_exits_1(tmp_path, capsys, monkeypatch):
+    # --spec was once ignored in favour of --preset, exit 0
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "a.json"
+    ibonset.save_spec_json(ibonset.noise_preset(0.2), spec)
+    assert main(["gen", "--preset", "overlap-3.2", "--spec", str(spec), "--n", "5"]) == 1
+    assert "exactly one input" in capsys.readouterr().err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("sweep", ["--preset", "noise-0.2", "--beta-points", "7"]),
+    ("maxcorr", ["--preset", "overlap-2.0"]),
+    ("estimate", ["--preset", "overlap-1.2", "--method", "maxcorr"]),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_zero_bins_exits_1(tmp_path, capsys, monkeypatch, command, argv, via):
+    # 0 once read as unset: the commands ran on a 32-bin table, exit 0
+    monkeypatch.chdir(tmp_path)
+    bins = ["--bins", "0"] if via == "flag" else _config_argv(tmp_path, {"bins": 0})
+    assert main([command, *argv, *bins]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bins_per_axis must be at least 1" in captured.err
+
+
 def test_sweep_on_joint_csv(tmp_path):
     joint_path = tmp_path / "joint.csv"
     save_joint_csv(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), joint_path)

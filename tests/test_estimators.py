@@ -521,6 +521,15 @@ def test_onset_correction_constant_scores_rejected():
         onset_correction(two_cluster_joint(0.2), [2.0, 2.0])
 
 
+def test_nearly_constant_scores_rejected_by_one_rule():
+    # onset_correction once returned entries of +-7.5e-18 here, by a
+    # max-deviation rule, while beta_for_scores rejected the scores by
+    # their p(x)-variance
+    for fn in (onset_correction, beta_for_scores):
+        with pytest.raises(InvalidDirectionError, match="constant"):
+            fn(two_cluster_joint(0.2), [1.0, 1.0 + 1e-8])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_onset_correction_rejects_non_finite_scores(bad):
     # a NaN score once came back as a NaN matrix; beta_for_scores rejected it

@@ -7,7 +7,6 @@ import pytest
 
 from ibonset import (
     IndependenceError,
-    MixtureComponent,
     MixtureSpec,
     ValidationError,
     analytic_posterior,
@@ -31,39 +30,43 @@ from ibonset import synth
 MI_TWO_CLUSTER_NATS = 0.2780719051126377 * math.log(2.0)
 
 
+def _one(mean=(0.0, 0.0), variances=(0.25, 0.25), weight=1.0, class_id=0, noise=None):
+    """A one-component spec."""
+    return MixtureSpec([mean], [variances], [weight], [class_id], noise)
+
+
 def test_spec_validation():
-    good = MixtureComponent((0.0, 0.0), (0.25, 0.25), 1.0, 0)
     with pytest.raises(ValidationError):
-        MixtureSpec((MixtureComponent((0.0, 0.0), (0.25, -1.0), 1.0, 0),))
+        _one(variances=(0.25, -1.0))
     with pytest.raises(ValidationError):
-        MixtureSpec((MixtureComponent((0.0, 0.0), (0.25, 0.25), 0.4, 0),))
+        _one(weight=0.4)
     with pytest.raises(ValidationError):
-        MixtureSpec((good,), noise=[[0.5, 0.4]])
+        _one(noise=[[0.5, 0.4]])
     with pytest.raises(ValidationError):
         # class ids must be contiguous from 0
-        MixtureSpec((MixtureComponent((0.0, 0.0), (0.25, 0.25), 1.0, 1),))
+        _one(class_id=1)
     nan = float("nan")
-    for comp, field in [
-        (MixtureComponent((nan, 0.0), (0.25, 0.25), 1.0, 0), "mean"),
-        (MixtureComponent((float("inf"), 0.0), (0.25, 0.25), 1.0, 0), "mean"),
-        (MixtureComponent((0.0, 0.0), (0.25, float("inf")), 1.0, 0), "variances"),
-        (MixtureComponent((0.0, 0.0), (nan, 0.25), 1.0, 0), "variances"),
-        (MixtureComponent((0.0, 0.0), (0.25, 0.25), nan, 0), "weight"),
+    for fields, name in [
+        (dict(mean=(nan, 0.0)), "mean"),
+        (dict(mean=(float("inf"), 0.0)), "mean"),
+        (dict(variances=(0.25, float("inf"))), "variances"),
+        (dict(variances=(nan, 0.25)), "variances"),
+        (dict(weight=nan), "weight"),
     ]:
-        with pytest.raises(ValidationError, match=field):
-            MixtureSpec((comp,))
+        with pytest.raises(ValidationError, match=name):
+            _one(**fields)
     with pytest.raises(ValidationError, match="confusion"):
-        MixtureSpec((good,), noise=[[nan]])
+        _one(noise=[[nan]])
     # strings where numbers belong once escaped as a bare ValueError
-    for comp, field in [
-        (MixtureComponent(("abc", 0.0), (0.25, 0.25), 1.0, 0), "mean"),
-        (MixtureComponent((0.0, 0.0), (0.25, 0.25), 1.0, "b"), "class_id"),
+    for fields, name in [
+        (dict(mean=("abc", 0.0)), "mean"),
+        (dict(class_id="b"), "class_id"),
     ]:
-        with pytest.raises(ValidationError, match=field):
-            MixtureSpec((comp,))
+        with pytest.raises(ValidationError, match=name):
+            _one(**fields)
     for noise in ("abc", [["x", 0.2], [0.2, 0.8]]):
         with pytest.raises(ValidationError, match="noise"):
-            MixtureSpec((good,), noise=noise)
+            _one(noise=noise)
     # strings, booleans and fractional class ids were once coerced: "1",
     # true and 1.7 all read as class 1, "0.5" as a weight of 0.5
     doc = noise_preset(0.2).to_dict()
@@ -82,12 +85,107 @@ def test_spec_validation():
         with pytest.raises(ValidationError, match=field):
             MixtureSpec.from_dict(bad)
     # ints, integral floats and numpy scalars are numbers
-    spec = MixtureSpec((
-        MixtureComponent((np.float64(-8.0), 0), (0.25, np.float32(0.25)), 0.5, np.int64(0)),
-        MixtureComponent((8, 0.0), (1, 0.25), np.float64(0.5), 1.0),
-    ), noise=np.eye(2, dtype=np.float32))
-    assert [c.class_id for c in spec.components] == [0, 1]
-    assert all(type(c.class_id) is int for c in spec.components)
+    spec = MixtureSpec(
+        [(np.float64(-8.0), 0), (8, 0.0)],
+        [(0.25, np.float32(0.25)), (1, 0.25)],
+        [0.5, np.float64(0.5)],
+        [np.int64(0), 1.0],
+        noise=np.eye(2, dtype=np.float32),
+    )
+    assert spec.class_ids.tolist() == [0, 1]
+    assert all(type(c) is int for c in spec.class_ids.tolist())
+    np.testing.assert_array_equal(spec.means, [[-8.0, 0.0], [8.0, 0.0]])
+
+
+@pytest.mark.parametrize("fields", [
+    dict(means=[[0.0, 0.0], [1.0]]),
+    dict(means=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    dict(means=[0.0, 0.0]),
+    dict(means=[[0.0, 0.0]]),
+    dict(variances=[[0.25, 0.25], [0.25]]),
+    dict(variances=[[0.25], [0.25]]),
+    dict(variances=[0.25, 0.25, 0.25, 0.25]),
+    dict(class_ids=[0, [1]]),
+    dict(class_ids=[[0], [1]]),
+    dict(class_ids=[0, 1, 1]),
+    dict(weights=[[0.5, 0.5]]),
+    dict(weights=[], means=np.zeros((0, 2)), variances=np.zeros((0, 2)), class_ids=[]),
+])
+def test_spec_rejects_ragged_or_misshapen_arrays(fields):
+    good = dict(means=[[-1.0, 0.0], [1.0, 0.0]], variances=[[0.25, 0.25], [0.25, 0.25]],
+                weights=[0.5, 0.5], class_ids=[0, 1])
+    MixtureSpec(**good)
+    with pytest.raises(ValidationError):
+        MixtureSpec(**{**good, **fields})
+
+
+def test_spec_arrays_are_read_only_copies():
+    means = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    spec = MixtureSpec(means, np.full((2, 2), 0.25), [0.5, 0.5], [0, 1], symmetric_flip(0.2))
+    for name in ("means", "variances", "weights", "class_ids", "noise"):
+        assert not getattr(spec, name).flags.writeable, name
+    assert means.flags.writeable
+    means[0, 0] = 5.0
+    assert spec.means[0, 0] == -1.0
+
+
+def _three_class_spec():
+    """3 classes, 5 components, one of class 0 with zero weight, noisy labels."""
+    return MixtureSpec(
+        means=[[-2.0, 0.0], [1.5, 1.0], [0.0, -1.0], [2.0, -2.0], [40.0, 40.0]],
+        variances=[[0.5, 0.3], [0.2, 0.6], [1.0, 1.0], [0.4, 0.1], [0.3, 0.3]],
+        weights=[0.3, 0.1, 0.35, 0.25, 0.0],
+        class_ids=[0, 1, 1, 2, 0],
+        noise=[[0.8, 0.1, 0.1], [0.05, 0.9, 0.05], [0.2, 0.0, 0.8]],
+    )
+
+
+def test_many_class_spec_json_round_trip_is_bitwise(tmp_path):
+    spec = _three_class_spec()
+    np.testing.assert_allclose(spec.class_priors(), [0.3, 0.45, 0.25], rtol=1e-15)
+    path = tmp_path / "spec.json"
+    save_spec_json(spec, path)
+    back = load_spec_json(path)
+    for name in ("means", "variances", "weights", "class_ids", "noise"):
+        got, want = getattr(back, name), getattr(spec, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert json.dumps(back.to_dict()) == json.dumps(spec.to_dict())
+
+
+def _bayes_reference(means, variances, weights, class_ids, noise, points):
+    """p(observed y | x) by Bayes' rule in linear space, one component at a
+    time: sum_k w_k N(x; mu_k, diag var_k) per true class, normalized, then
+    the confusion table."""
+    points = np.asarray(points, dtype=float)
+    dens = np.zeros((len(points), len(noise)))
+    for mean, var, w, c in zip(means, variances, weights, class_ids):
+        d = points - np.asarray(mean)
+        quad = (d * d / np.asarray(var)).sum(axis=1)
+        dens[:, c] += w * np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(np.prod(var)))
+    return (dens / dens.sum(axis=1, keepdims=True)) @ np.asarray(noise)
+
+
+def test_many_class_analytic_posterior_matches_bayes_reference():
+    spec = _three_class_spec()
+    pts = sample(spec, 400, seed=5).points
+    expected = _bayes_reference(spec.means, spec.variances, spec.weights,
+                                spec.class_ids, spec.noise, pts)
+    rows = analytic_posterior(spec, pts).rows
+    np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_zero_weight_component_leaves_the_posterior_unchanged():
+    spec = _three_class_spec()
+    live = spec.weights > 0
+    pruned = MixtureSpec(spec.means[live], spec.variances[live], spec.weights[live],
+                         spec.class_ids[live], spec.noise)
+    # near the zero-weight component's mean too, where it would dominate
+    pts = np.vstack([sample(spec, 200, seed=6).points, [[40.0, 40.0], [39.0, 41.0]]])
+    np.testing.assert_array_equal(analytic_posterior(spec, pts).rows,
+                                  analytic_posterior(pruned, pts).rows)
+    np.testing.assert_array_equal(spec.class_priors(), pruned.class_priors())
 
 
 def test_sample_identity_noise_keeps_labels():
@@ -106,9 +204,8 @@ def test_sample_flip_fraction_concentrates():
 def test_sample_well_separated_components():
     spec = noise_preset(0.2)
     samples = sample(spec, 100_000, seed=3)
-    means = np.array([c.mean for c in spec.components])
     nearest = np.argmin(
-        ((samples.points[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1
+        ((samples.points[:, None, :] - spec.means[None]) ** 2).sum(axis=2), axis=1
     )
     assert (nearest != samples.true_labels).mean() < 1e-10
 
@@ -123,7 +220,7 @@ def test_sample_deterministic_given_seed():
 
 def test_analytic_posterior_at_component_mean():
     spec = noise_preset(0.2)
-    rows = analytic_posterior(spec, [spec.components[0].mean]).rows
+    rows = analytic_posterior(spec, [spec.means[0]]).rows
     np.testing.assert_allclose(rows[0], [0.8, 0.2], atol=1e-9)
 
 
@@ -177,11 +274,11 @@ def test_discretize_sample_mode_close_to_exact():
         edges_y = np.linspace(y_lo, y_hi, bins + 1)
 
         class_mass = np.zeros((bins * bins, spec.num_true_classes))
-        for c in spec.components:
-            sx, sy = np.sqrt(c.variances)
-            px = np.diff(stats.norm.cdf(edges_x, loc=c.mean[0], scale=sx))
-            py = np.diff(stats.norm.cdf(edges_y, loc=c.mean[1], scale=sy))
-            class_mass[:, c.class_id] += c.weight * np.outer(px, py).ravel()
+        for mean, var, w, c in zip(spec.means, spec.variances, spec.weights, spec.class_ids):
+            sx, sy = np.sqrt(var)
+            px = np.diff(stats.norm.cdf(edges_x, loc=mean[0], scale=sx))
+            py = np.diff(stats.norm.cdf(edges_y, loc=mean[1], scale=sy))
+            class_mass[:, c] += w * np.outer(px, py).ravel()
         reference = class_mass if spec.noise is None else class_mass @ spec.noise
         kept = reference.sum(axis=1) > synth.MASS_FLOOR * reference.sum()
         np.testing.assert_allclose(
@@ -223,12 +320,12 @@ def test_spec_json_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     save_spec_json(spec, path)
     back = load_spec_json(path)
-    assert back.components == spec.components
-    np.testing.assert_array_equal(back.noise, spec.noise)
-    # older files carry a "seed" key, which is ignored
-    assert "seed" not in spec.to_dict()
     older = MixtureSpec.from_dict({**spec.to_dict(), "seed": 11})
-    assert older.components == spec.components
+    for name in ("means", "variances", "weights", "class_ids", "noise"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(spec, name))
+        # older files carry a "seed" key, which is ignored
+        np.testing.assert_array_equal(getattr(older, name), getattr(spec, name))
+    assert "seed" not in spec.to_dict()
 
 
 def _reference_samples_csv(samples, path):
@@ -275,7 +372,7 @@ def test_get_preset_parsing():
     np.testing.assert_allclose(spec.noise, symmetric_flip(0.2))
     spec = get_preset("overlap-3.2")
     assert spec.noise is None
-    assert spec.components[1].mean[0] - spec.components[0].mean[0] == pytest.approx(3.2)
+    assert spec.means[1, 0] - spec.means[0, 0] == pytest.approx(3.2)
     with pytest.raises(ValidationError):
         get_preset("bogus-1.0")
     with pytest.raises(ValidationError):
@@ -290,18 +387,18 @@ def test_normal_cdf_matches_scipy_ndtr():
 
 def test_class_log_densities_match_scipy_logsumexp():
     special = pytest.importorskip("scipy.special")
-    a = MixtureComponent((-1.0, 0.0), (0.25, 0.25), 0.3, 0)
-    b = MixtureComponent((2.0, 1.0), (0.5, 0.1), 0.5, 0)
-    c = MixtureComponent((0.0, 3.0), (0.2, 0.2), 0.2, 1)
+    means = [(-1.0, 0.0), (2.0, 1.0), (0.0, 3.0)]
+    variances = [(0.25, 0.25), (0.5, 0.1), (0.2, 0.2)]
+    weights = [0.3, 0.5, 0.2]
     # the last two points are far enough out that exp underflows to 0
     pts = np.array([[0.0, 0.0], [2.0, 1.0], [40.0, -30.0], [-1e3, 1e3]])
 
-    def alone(comp):
-        spec = MixtureSpec((MixtureComponent(comp.mean, comp.variances, 1.0, 0),))
-        return synth._class_log_densities(spec, pts)[:, 0]
+    def alone(k):
+        return synth._class_log_densities(_one(means[k], variances[k]), pts)[:, 0]
 
     expected = special.logsumexp(
-        [math.log(a.weight) + alone(a), math.log(b.weight) + alone(b)], axis=0
+        [math.log(weights[0]) + alone(0), math.log(weights[1]) + alone(1)], axis=0
     )
-    got = synth._class_log_densities(MixtureSpec((a, b, c)), pts)[:, 0]
+    spec = MixtureSpec(means, variances, weights, [0, 0, 1])
+    got = synth._class_log_densities(spec, pts)[:, 0]
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
