@@ -1,6 +1,8 @@
 """Learnability threshold estimation for the information bottleneck
 objective, with a tabular solver for empirical verification."""
 
+import importlib
+
 from .dist import (
     ConditionalMatrix,
     DiscreteJoint,
@@ -34,16 +36,6 @@ from .estimators import (
     onset_correction,
     subset_search,
 )
-from .solver import (
-    Encoder,
-    SweepPoint,
-    SweepResult,
-    detect_onset,
-    info_plane,
-    save_sweep_csv,
-    solve,
-    sweep,
-)
 from .synth import (
     MixtureSpec,
     SampleSet,
@@ -60,3 +52,25 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
+
+#: names of ``solver``, which is loaded on first access to one of them: only
+#: ``sweep`` and ``table --sweep-column`` run it, and compiling and running it
+#: is a fixed cost of every other command
+_SOLVER_NAMES = frozenset({
+    "solver", "Encoder", "SweepPoint", "SweepResult", "detect_onset", "info_plane",
+    "save_sweep_csv", "solve", "sweep",
+})
+
+
+def __getattr__(name: str):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not ``from . import solver``, whose attribute check would land here again
+    solver = importlib.import_module(".solver", __name__)
+    value = solver if name == "solver" else getattr(solver, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SOLVER_NAMES)

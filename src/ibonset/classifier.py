@@ -116,8 +116,8 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
     :func:`loss_and_gradients` to the returned weights to measure one."""
     cfg = config or TrainConfig()
     labels = samples.observed_labels
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    # not np.unique, which imports numpy.ma for this one check
+    if labels.size == 0 or labels.min() == labels.max():
         raise ValidationError("training data contains a single class")
     n_classes = int(labels.max()) + 1
 

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier, dist, estimators, solver, synth
+# solver and classifier are imported where a command runs them, so commands
+# that do not run them skip their start-up
+from . import dist, estimators, synth
 from .errors import IndependenceError, OnsetError, ValidationError
 
 _EXIT_OK = 0
@@ -163,6 +165,9 @@ def _spec_problem(spec: synth.MixtureSpec, *, samples: int | None = None, seed: 
     the discretized joint when it is not (or when a joint table is
     required, as for sweeps).
     """
+    # the discretizer's rule, on every route: only one of them reads bins
+    if bins < 1:
+        raise ValidationError("bins_per_axis must be at least 1")
     noise, prior = spec.noise, spec.class_priors()
     if samples is not None:
         points = synth.sample(spec, samples, seed=_task_seed(seed, 0)).points
@@ -299,6 +304,8 @@ def _geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _cmd_sweep(config) -> int:
+    from . import solver
+
     problem = _load_problem(config, need_joint_table=True)
     grid = _geometric_grid(config["beta_min"], config["beta_max"], config["beta_points"])
     result = solver.sweep(
@@ -366,6 +373,8 @@ def _table_row(rho: float, config) -> dict:
     }
 
     if config["learned"]:
+        from . import classifier
+
         samples = synth.sample(spec, config["samples"], seed=_task_seed(config["seed"], 2))
         try:
             model = classifier.fit(
@@ -377,6 +386,8 @@ def _table_row(rho: float, config) -> dict:
             row["subset_learned_posterior"] = None
 
     if config["sweep_column"]:
+        from . import solver
+
         joint_exact = _spec_problem(spec, need_joint_table=True).joint
         target = row["class_conditional"] or 2.0
         grid = _geometric_grid(max(0.5, target / 2.0), target * 2.0, config["beta_points"])

@@ -211,12 +211,14 @@ def load_joint_csv(path) -> DiscreteJoint:
 def _write_csv_table(path, header: list[str], table) -> None:
     """A header row, then the rows of ``table`` with 17 significant digits,
     which read back exactly (integers as integers)."""
-    # Python floats format several times faster than numpy scalars
-    rows = np.asarray(table, dtype=float).tolist()
+    arr = np.asarray(table, dtype=float)
+    # the body is one %-format of a row template repeated per row: '%.17g'
+    # of a Python float is format(v, ".17g"), and csv.writer ends rows with
+    # \r\n, so the bytes are those of writing each cell through csv.writer
+    row = ",".join(["%.17g"] * arr.shape[-1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format(v, ".17g") for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.write(row * len(arr) % tuple(arr.ravel().tolist()))
 
 
 def _read_csv_table(path) -> tuple[list[str] | None, np.ndarray]:

@@ -70,3 +70,24 @@ def test_workload_commands_parse(workloads, tmp_path):
             methods = cli._split_list(getattr(args, "method", None) or "all")
             unknown = [m for m in methods if m != "all" and m not in cli._ESTIMATORS]
             assert unknown == [], f"{workload}: {command.name}"
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("solver", "sweep", ["sweep", "--preset", "noise-0.2", "--beta-points", "7"]),
+    ("classifier", "fit", ["table", "--learned", "--rates", "0.2", "--samples", "200"]),
+])
+def test_replay_wrappers_see_layers_loaded_on_use(tmp_path, monkeypatch, module, name, argv):
+    # the traced replay wraps layer functions at their module attributes
+    # before calling cli.main; a layer that cli imports inside a command
+    # must still be called through that attribute
+    layer = importlib.import_module(f"ibonset.{module}")
+    original, calls = getattr(layer, name), []
+
+    def recorder(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(layer, name, recorder)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert calls

@@ -214,18 +214,74 @@ def test_estimate_rejects_tolerance_flag():
         assert exc.value.code == 2
 
 
-def test_cli_import_does_not_load_scipy():
-    # neither scipy nor the process pool, which only sweep --workers uses
+#: modules a fresh ``import ibonset.cli`` must not load: scipy, the process
+#: pool (only sweep --workers uses it), numpy.ma (which np.unique of labels
+#: imports) and the layers only some commands run
+_NOT_AT_IMPORT = ("scipy", "concurrent.futures.process", "numpy.ma",
+                  "ibonset.solver", "ibonset.classifier")
+
+
+def _loaded_after(code: str, cwd=None) -> list[str]:
+    """Which of the modules in ``_NOT_AT_IMPORT`` a fresh interpreter has
+    loaded after running ``code``."""
     src = str(Path(ibonset.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import ibonset.cli, sys; "
-         "print(sorted({'scipy', 'concurrent.futures.process'} & set(sys.modules)))"],
-        env={**os.environ, "PYTHONPATH": src},
+         f"import json, sys\n{code}\n"
+         f"print(json.dumps(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules))))"],
+        env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _loaded_after("import ibonset.cli") == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["estimate", "--preset", "noise-0.2"], []),
+    (["maxcorr", "--preset", "noise-0.2"], []),
+    (["gen", "--preset", "noise-0.2", "--n", "10"], []),
+    (["table", "--rates", "0.2"], []),
+    (["sweep", "--preset", "noise-0.2", "--beta-points", "7"], ["ibonset.solver"]),
+    (["table", "--learned", "--rates", "0.2", "--samples", "200"], ["ibonset.classifier"]),
+], ids=["estimate", "maxcorr", "gen", "table", "sweep", "table-learned"])
+def test_commands_load_only_the_layers_they_run(tmp_path, argv, loaded):
+    code = f"from ibonset.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, cwd=tmp_path) == loaded
+
+
+def test_package_names_resolve_and_solver_loads_on_first_use():
+    # every public name of the package when solver was imported eagerly
+    names = [
+        "BetaEstimate", "ConditionalMatrix", "DiscreteJoint", "Encoder",
+        "IndependenceError", "InvalidDirectionError", "Method", "MixtureSpec",
+        "OnsetError", "SampleSet", "SubsetResult", "SweepPoint", "SweepResult",
+        "UninformativeSubsetError", "ValidationError", "analytic_posterior",
+        "beta_for_scores", "beta_for_subset", "class_conditional_beta",
+        "conditional_from_joint", "detect_onset", "discretize", "dist", "entropy",
+        "errors", "estimators", "get_preset", "info_density_beta", "info_plane",
+        "joint_from_conditional", "load_conditional_csv", "load_joint_csv",
+        "load_spec_json", "max_correlation", "max_correlation_beta", "minimize_beta",
+        "mutual_information", "noise_preset", "onset_correction", "overlap_preset",
+        "sample", "save_conditional_csv", "save_joint_csv", "save_samples_csv",
+        "save_spec_json", "save_sweep_csv", "solve", "solver", "subset_search",
+        "sweep", "symmetric_flip", "synth", "__version__",
+    ]
+    code = (
+        "import ibonset\n"
+        "assert 'ibonset.solver' not in sys.modules\n"
+        f"missing = [n for n in {names!r} if not hasattr(ibonset, n)]\n"
+        "assert missing == [], missing\n"
+        f"assert set(dir(ibonset)) >= set({names!r})\n"
+        "from ibonset import sweep, solver\n"
+        "assert sweep is solver.sweep and ibonset.solver is solver"
+    )
+    assert _loaded_after(code) == ["ibonset.solver"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ibonset.no_such_name
 
 
 def test_estimate_config_file_flags_override(tmp_path):
@@ -298,10 +354,16 @@ def test_gen_with_two_inputs_exits_1(tmp_path, capsys, monkeypatch):
     ("sweep", ["--preset", "noise-0.2", "--beta-points", "7"]),
     ("maxcorr", ["--preset", "overlap-2.0"]),
     ("estimate", ["--preset", "overlap-1.2", "--method", "maxcorr"]),
+    # inputs that are never discretized, where bins went unread
+    ("maxcorr", ["--preset", "noise-0.2"]),
+    ("estimate", ["--preset", "noise-0.2", "--method", "maxcorr"]),
+    ("estimate", ["--preset", "noise-0.2", "--samples", "50", "--method", "maxcorr"]),
 ])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_zero_bins_exits_1(tmp_path, capsys, monkeypatch, command, argv, via):
-    # 0 once read as unset: the commands ran on a 32-bin table, exit 0
+    # 0 once read as unset: the commands ran on a 32-bin table, exit 0; the
+    # compact noise table and sampled posteriors never read bins and printed
+    # 2.777778, exit 0
     monkeypatch.chdir(tmp_path)
     bins = ["--bins", "0"] if via == "flag" else _config_argv(tmp_path, {"bins": 0})
     assert main([command, *argv, *bins]) == 1

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from ibonset import (
     save_conditional_csv,
     save_joint_csv,
 )
-from ibonset.dist import rel_entr, xlogy
+from ibonset import noise_preset, sample, save_samples_csv, save_sweep_csv, sweep
+from ibonset.cli import _task_seed
+from ibonset.dist import _read_csv_table, _write_csv_table, rel_entr, xlogy
 from conftest import random_joint, two_cluster_joint
 
 # ln 2 - (-0.2 ln 0.2 - 0.8 ln 0.8), evaluated by the binary-entropy formula
@@ -198,6 +201,71 @@ def test_joint_csv_round_trip(tmp_path, rng):
     assert header == ",".join(f"y{j}" for j in range(joint.shape[1]))
     back = load_joint_csv(path)
     np.testing.assert_allclose(back.probs, joint.probs, rtol=1e-12)
+
+
+def _reference_csv(path, header, table) -> bytes:
+    """The per-cell writer: csv.writer rows of format(v, ".17g"), which the
+    one-pass body must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") for v in row]
+                         for row in np.asarray(table, dtype=float).tolist())
+    return path.read_bytes()
+
+
+_EDGE_VALUES = [
+    [0.0, -0.0, 1.0],
+    [1e-300, 5e-324, 0.1 + 0.2],
+    [2.2250738585072014e-308 / 3, 0.12345678901234568, 1.0 / 3.0],
+    [-12345.678901234567, 9.8765432109876543e-200, 1.7976931348623157e308],
+    [123456789012345680.0, 2.0 ** 53 + 2, -7.0],
+]
+
+
+@pytest.mark.parametrize("header, table", [
+    (["a", "b", "c"], _EDGE_VALUES),
+    (["only"], [[0.5], [1e-300], [-0.0], [3.0]]),
+    (["a", "b", "c"], np.empty((0, 3))),
+], ids=["edge-values", "one-column", "no-rows"])
+def test_csv_writer_matches_per_cell_writer(tmp_path, header, table):
+    _write_csv_table(tmp_path / "fast.csv", header, table)
+    reference = _reference_csv(tmp_path / "ref.csv", header, table)
+    assert (tmp_path / "fast.csv").read_bytes() == reference
+
+
+def test_samples_csv_matches_per_cell_writer(tmp_path):
+    # gen's table: float coordinates next to integer label columns
+    drawn = sample(noise_preset(0.2), 2000, seed=_task_seed(1, 0))
+    save_samples_csv(drawn, tmp_path / "samples.csv")
+    table = np.column_stack([drawn.points, drawn.observed_labels, drawn.true_labels])
+    reference = _reference_csv(tmp_path / "ref.csv",
+                               ["x1", "x2", "observed_label", "true_label"], table)
+    assert (tmp_path / "samples.csv").read_bytes() == reference
+
+
+def test_sweep_csv_matches_per_cell_writer(tmp_path):
+    result = sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), seed=0)
+    save_sweep_csv(result, tmp_path / "sweep.csv")
+    reference = _reference_csv(
+        tmp_path / "ref.csv", ["beta", "i_xz_nats", "i_yz_nats", "objective"],
+        [[p.beta, p.i_xz, p.i_yz, p.objective] for p in result.points])
+    assert (tmp_path / "sweep.csv").read_bytes() == reference
+
+
+def test_conditional_csv_reads_back_exactly(tmp_path, rng):
+    cond = ConditionalMatrix(
+        rng.dirichlet(np.full(4, 0.3), size=40), rng.dirichlet(np.ones(40) * 2.0)
+    )
+    path = tmp_path / "cond.csv"
+    save_conditional_csv(cond, path)
+    _, data = _read_csv_table(path)
+    np.testing.assert_array_equal(data, np.column_stack([cond.rows, cond.weights]))
+    # the loader renormalizes as the constructor does, so the loaded table is
+    # bitwise the one built from the written values
+    back, again = load_conditional_csv(path), ConditionalMatrix(cond.rows, cond.weights)
+    np.testing.assert_array_equal(back.rows, again.rows)
+    np.testing.assert_array_equal(back.weights, again.weights)
 
 
 def test_csv_malformed_rejected(tmp_path):
