@@ -298,8 +298,8 @@ def _cmd_estimate(config) -> int:
 
 
 def _geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if not (0.0 < lo < hi):
-        raise ValidationError("need 0 < beta_min < beta_max")
+    if not (0.0 < lo < hi < np.inf):
+        raise ValidationError("need 0 < beta_min < beta_max, both finite")
     return np.geomspace(lo, hi, points)
 
 

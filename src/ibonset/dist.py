@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,16 @@ class DiscreteJoint:
     @property
     def shape(self) -> tuple[int, int]:
         return self.probs.shape
+
+    @cached_property
+    def merged(self) -> tuple[DiscreteJoint, np.ndarray]:
+        """Joint p(t, y) over the bitwise-distinct rows t of p(y|x), and the
+        read-only index t(x) per row x; computed on first use and kept."""
+        _, group = np.unique(self.probs / self.p_x[:, None], axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        merged = np.zeros((group.max() + 1, self.shape[1]))
+        np.add.at(merged, group, self.probs)
+        return DiscreteJoint(merged), _freeze(group)
 
 
 @dataclass(frozen=True)

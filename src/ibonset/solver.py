@@ -117,11 +117,12 @@ class SweepResult:
         }
 
 
-def _information_pair(pzx: np.ndarray, joint: DiscreteJoint) -> tuple[float, float]:
-    p_z = joint.p_x @ pzx
-    i_xz = float((joint.p_x[:, None] * rel_entr(pzx, p_z[None, :])).sum())
-    p_zy = pzx.T @ joint.probs
-    i_yz = float(rel_entr(p_zy, np.outer(p_z, joint.p_y)).sum())
+def _information_pairs(probs: np.ndarray, joint: DiscreteJoint) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X;Z), I(Y;Z)) of each encoder in a ``(n, |X|, |Z|)`` stack."""
+    p_z = joint.p_x @ probs
+    i_xz = np.add.reduce(joint.p_x[:, None] * rel_entr(probs, p_z[:, None, :]), axis=(1, 2))
+    p_zy = probs.transpose(0, 2, 1) @ joint.probs
+    i_yz = np.add.reduce(rel_entr(p_zy, p_z[:, :, None] * joint.p_y), axis=(1, 2))
     return i_xz, i_yz
 
 
@@ -133,7 +134,8 @@ def info_plane(encoder, joint: DiscreteJoint) -> tuple[float, float]:
     pzx = encoder.probs if isinstance(encoder, Encoder) else np.asarray(encoder, float)
     if pzx.ndim != 2 or pzx.shape[0] != joint.shape[0]:
         raise ValidationError("encoder rows do not match joint x alphabet")
-    return _information_pair(pzx, joint)
+    i_xz, i_yz = _information_pairs(pzx[None], joint)
+    return float(i_xz[0]), float(i_yz[0])
 
 
 def default_z_card(joint: DiscreteJoint) -> int:
@@ -157,8 +159,9 @@ def solve(
     ``restarts`` random initializations (Dirichlet-perturbed uniform rows,
     concentration ``INIT_CONCENTRATION``) are iterated together as one
     ``(R, |T|, |Z|)`` stack (T the distinct rows of p(y|x), see below) for
-    up to ``max_iters`` map evaluations each, stopping when the max-norm
-    change of one plain update of p(z|x) drops below ``tol``; the restart with the lowest final objective is returned.
+    up to ``max_iters`` (at least 1) map evaluations each, stopping when
+    the max-norm change of one plain update of p(z|x) drops below ``tol``;
+    the restart with the lowest final objective is returned.
     Objectives within ``RESTART_TIE_RTOL`` (relative, floored at 1) of the
     lowest count as tied and the first of them wins, so the choice does not
     follow roundoff among restarts that reach the same encoder.
@@ -179,11 +182,13 @@ def solve(
     a different problem and stay apart) with p(t, y) the summed mass of
     their x.  This is exact: an encoder equal on the rows of each t has the
     same I(X;Z) = I(T;Z), I(Y;Z) and free energy on both tables, and every
-    update produces such an encoder.  Each initialization, still drawn on
-    all |X| rows, enters as its p(x)-weighted mean over the rows of each t;
-    one plain update of the unmerged iteration reaches the same point, so
-    only the first extrapolation differs.  ``probs`` has all |X| rows, the
-    rows of one t being copies.
+    update produces such an encoder.  The merge is kept on the table
+    (:attr:`DiscreteJoint.merged`), so a sweep merges once.  Each
+    initialization, still drawn on all |X| rows, enters as its p(x)-weighted
+    mean over the rows of each t; one plain update of the unmerged
+    iteration reaches the same point, so only the first extrapolation
+    differs.  All restarts are scored in one stacked pass.  ``probs`` has
+    all |X| rows, the rows of one t being copies.
 
     Non-convergence is not an error: the best iterate comes back with
     ``converged=False``.  ``diagnostics`` holds the winning ``restart``
@@ -200,6 +205,8 @@ def solve(
         raise ValidationError(f"z_card must be at least 2, got {z_card}")
     if restarts < 0:
         raise ValidationError("restarts must be non-negative")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
     n_x = joint.shape[0]
     inits: list[np.ndarray] = []
@@ -209,7 +216,7 @@ def solve(
             raise ValidationError(
                 f"init_probs shape {arr.shape} does not match ({n_x}, {z_card})"
             )
-        inits.append(arr.copy())
+        inits.append(arr)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for child in seq.spawn(restarts):
         rng = np.random.default_rng(child)
@@ -217,20 +224,25 @@ def solve(
     if not inits:
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
-    merged, group = _merge_rows(joint)
-    start = np.zeros((len(inits), merged.shape[0], z_card))
-    np.add.at(start, (slice(None), group), np.stack(inits) * joint.p_x[:, None])
+    merged, group = joint.merged
+    n_t = merged.shape[0]
+    # one bincount per initialization adds each (t, z) bin's rows in
+    # ascending x, as np.add.at does, so the sums are bitwise the same
+    bins = (group[:, None] * z_card + np.arange(z_card)).ravel()
+    start = np.stack([
+        np.bincount(bins, weights=(init * joint.p_x[:, None]).ravel(), minlength=n_t * z_card)
+        for init in inits
+    ]).reshape(len(inits), n_t, z_card)
     start /= np.bincount(group, weights=joint.p_x)[:, None]
 
     probs, iterations, converged, increases = _fixed_point(
         start, merged, beta, max_iters, tol
     )
-    pairs = [_information_pair(p, merged) for p in probs]
-    objectives = [i_xz - beta * i_yz for i_xz, i_yz in pairs]
+    i_xz, i_yz = _information_pairs(probs, merged)
+    objectives = (i_xz - beta * i_yz).tolist()
     lowest = min(objectives)
     cutoff = lowest + RESTART_TIE_RTOL * max(1.0, abs(lowest))
     win = next(k for k, obj in enumerate(objectives) if obj <= cutoff)
-    i_xz, i_yz = pairs[win]
     return Encoder(
         probs=probs[win][group],
         beta=beta,
@@ -241,20 +253,11 @@ def solve(
             "restart": win,
             "restarts_run": len(inits),
             "max_objective_increase": float(increases[win]),
-            "i_xz": i_xz,
-            "i_yz": i_yz,
-            "distinct_rows": merged.shape[0],
+            "i_xz": float(i_xz[win]),
+            "i_yz": float(i_yz[win]),
+            "distinct_rows": n_t,
         },
     )
-
-
-def _merge_rows(joint: DiscreteJoint) -> tuple[DiscreteJoint, np.ndarray]:
-    """Joint p(t, y) over the distinct rows t of p(y|x), and t(x) per row x."""
-    _, group = np.unique(joint.probs / joint.p_x[:, None], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    merged = np.zeros((group.max() + 1, joint.shape[1]))
-    np.add.at(merged, group, joint.probs)
-    return DiscreteJoint(merged), group
 
 
 def _fixed_point(
@@ -281,12 +284,12 @@ def _fixed_point(
         logits = np.log(p_z)[:, None, :] + beta * (
             p_yx @ np.log(np.maximum(p_y_given_z, _LOG_TINY)).transpose(0, 2, 1)
         )
-        peak = logits.max(axis=2, keepdims=True)
+        peak = np.maximum.reduce(logits, axis=2, keepdims=True)
         new = np.exp(logits - peak)
-        total = new.sum(axis=2, keepdims=True)
+        total = np.add.reduce(new, axis=2, keepdims=True)
         new /= total
         log_norm = peak + np.log(total)
-        free = offset - (log_norm[:, :, 0] * p_x).sum(axis=1)
+        free = offset - np.add.reduce(log_norm[:, :, 0] * p_x, axis=1)
         return new, np.maximum(logits - log_norm, _LOG_FLOOR), free
 
     n = len(stack)
@@ -301,11 +304,15 @@ def _fixed_point(
     increase = np.zeros(n)
     evals = 0
 
-    def record(free, mask=True):
+    def record(free, mask=None):
+        # a member left out by ``mask`` keeps its last free energy and rise
         nonlocal last_free, increase
-        rise = np.where(mask, free - last_free, 0.0)
-        increase = np.maximum(increase, rise)
-        last_free = np.where(mask, free, last_free)
+        if mask is None or mask.all():
+            increase = np.maximum(increase, free - last_free)
+            last_free = free
+        elif mask.any():
+            increase = np.maximum(increase, np.where(mask, free - last_free, 0.0))
+            last_free = np.where(mask, free, last_free)
 
     # log(0) marks an empty cluster; an extrapolation that overflows yields a
     # non-finite free energy and is rejected by the comparison below
@@ -316,7 +323,7 @@ def _fixed_point(
             new, cur_log, free = update(cur)
             evals += 1
             record(free)
-            done = np.abs(new - cur).max(axis=(1, 2)) < tol
+            done = np.maximum.reduce(np.abs(new - cur), axis=(1, 2)) < tol
             cur = new
             if done.any():
                 out_probs[active[done]] = cur[done]
@@ -342,19 +349,22 @@ def _fixed_point(
             # two-step iterate
             r = log1 - log0
             v = log2 - 2.0 * log1 + log0
-            r_norm = np.sqrt((r * r).sum(axis=(1, 2)))
-            v_norm = np.sqrt((v * v).sum(axis=(1, 2)))
+            r_norm = np.sqrt(np.add.reduce(r * r, axis=(1, 2)))
+            v_norm = np.sqrt(np.add.reduce(v * v, axis=(1, 2)))
             alpha = np.minimum(-1.0, -r_norm / np.where(v_norm > 0.0, v_norm, np.inf))
             alpha = alpha[:, None, None]
             jump = log0 - 2.0 * alpha * r + alpha * alpha * v
-            jump = np.exp(jump - jump.max(axis=2, keepdims=True))
-            jump /= jump.sum(axis=2, keepdims=True)
+            jump = np.exp(jump - np.maximum.reduce(jump, axis=2, keepdims=True))
+            jump /= np.add.reduce(jump, axis=2, keepdims=True)
             stable, log3, stable_free = update(jump)
             evals += 1
             ok = stable_free <= plain_free
             record(stable_free, ok)
-            cur = np.where(ok[:, None, None], stable, plain)
-            cur_log = np.where(ok[:, None, None], log3, log2)
+            if ok.all():
+                cur, cur_log = stable, log3
+            elif ok.any():
+                cur = np.where(ok[:, None, None], stable, plain)
+                cur_log = np.where(ok[:, None, None], log3, log2)
 
     out_probs[active] = cur
     out_iters[active] = evals
@@ -420,12 +430,14 @@ def sweep(
     Each beta is solved independently with its own derived seed, so the
     result is identical whether points run serially or across ``workers``
     processes; the pool never holds more processes than grid points or
-    CPUs, and 0 or 1 worker runs serially.  Since :func:`solve` runs on the
-    distinct rows of p(y|x), a serial sweep of a table with many equal rows
-    is about as fast as a pool of two workers.  ``warm_start`` instead
-    anneals from the top of the grid downward, feeding each solution as an
-    extra initialization to the next lower beta; this can change which
-    local optimum is reached and is off by default.
+    CPUs, and 0 or 1 worker runs serially.  Every point is one call of the
+    module-level :func:`solve`, on the distinct rows of p(y|x) merged once
+    per table, so a serial sweep of a table with many equal rows is about
+    as fast as a pool of two workers.  ``warm_start`` instead anneals from
+    the top of the grid downward, feeding each solution as an extra
+    initialization to the next lower beta; this can change which local
+    optimum is reached and is off by default.  A non-positive or non-finite
+    beta or ``max_iters`` below 1 is rejected before any point is solved.
 
     ``protocol`` records the detection band, the solver settings, the
     points whose free energy rose (``non_monotone_betas``), the rows the
@@ -437,12 +449,17 @@ def sweep(
         raise ValidationError(
             f"beta grid must be one-dimensional with >= {ONSET_BASELINE_POINTS + 2} points"
         )
+    if not np.all((betas > 0.0) & np.isfinite(betas)):
+        raise ValidationError("beta grid must be positive and finite")
     if np.any(np.diff(betas) <= 0.0):
         raise ValidationError("beta grid must be strictly ascending")
     if workers is not None and workers < 0:
         raise ValidationError(f"workers must be non-negative, got {workers}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     if z_card is None:
         z_card = default_z_card(joint)
+    distinct_rows = joint.merged[0].shape[0]  # before the pool pickles joint
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(betas))
@@ -491,7 +508,7 @@ def sweep(
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],
-        "distinct_rows": _merge_rows(joint)[0].shape[0],
+        "distinct_rows": distinct_rows,
         # first of the points with the most solver iterations: where the
         # iteration slows down most, next to a transition
         "slowdown_peak_beta": points[int(np.argmax([p.iterations for p in points]))].beta,

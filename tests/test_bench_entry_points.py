@@ -10,9 +10,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ibonset import cli
+from ibonset import cli, discretize, noise_preset
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -91,3 +92,23 @@ def test_replay_wrappers_see_layers_loaded_on_use(tmp_path, monkeypatch, module,
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
     assert calls
+
+
+def test_sweep_calls_solve_once_per_grid_beta(monkeypatch):
+    # the traced run times each sweep point by wrapping the module attribute
+    # solver.solve and reading beta from its second positional argument; a
+    # sweep that solved its grid some other way would leave that probe no
+    # spans to take a median of
+    solver = importlib.import_module("ibonset.solver")
+    original, calls = solver.solve, []
+
+    def recorder(*args, **kwargs):
+        enc = original(*args, **kwargs)
+        calls.append((args[1], enc))
+        return enc
+
+    monkeypatch.setattr(solver, "solve", recorder)
+    grid = np.geomspace(1.5, 4.5, 7)
+    solver.sweep(discretize(noise_preset(0.2)), grid, seed=1)
+    assert [beta for beta, _ in calls] == grid.tolist()
+    assert all(isinstance(enc, solver.Encoder) for _, enc in calls)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,31 @@ def test_sweep_non_convergence_exits_3(tmp_path):
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    # no update ran: reports of the bare starting points, exit 3
+    (["--max-iters", "0"], "max_iters must be at least 1, got 0"),
+    (["--max-iters", "-3"], "max_iters must be at least 1, got -3"),
+    # two RuntimeWarnings from geomspace, beta = 1.5 solved, then exit 1
+    # with "beta must be positive, got inf"
+    (["--beta-max", "inf"], "both finite"),
+    (["--beta-min", "nan"], "both finite"),
+], ids=["max-iters-0", "max-iters-neg", "beta-max-inf", "beta-min-nan"])
+def test_sweep_bad_solver_settings_exit_1_before_solving(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--preset", "noise-0.2", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from ibonset import (
     ValidationError,
     detect_onset,
     discretize,
+    dist,
     entropy,
     info_plane,
     noise_preset,
     save_sweep_csv,
     solve,
+    solver,
     sweep,
 )
 from conftest import random_joint, two_cluster_joint
@@ -433,3 +436,254 @@ def test_sweep_reports_slowdown_peak():
     peak = result.protocol["slowdown_peak_beta"]
     assert peak == result.points[iterations.index(max(iterations))].beta
     assert result.protocol["distinct_rows"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Reference: solve() as it was before the row merge was kept on the joint,
+# restarts were projected by bincount and scored in one stacked pass, and the
+# kernel skipped its np.where on uniform branches.  Every field of the
+# Encoder must be bitwise that of this arithmetic.
+# ---------------------------------------------------------------------------
+
+def _reference_merge_rows(joint):
+    _, group = np.unique(joint.probs / joint.p_x[:, None], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    merged = np.zeros((group.max() + 1, joint.shape[1]))
+    np.add.at(merged, group, joint.probs)
+    return DiscreteJoint(merged), group
+
+
+def _reference_information_pair(pzx, joint):
+    p_z = joint.p_x @ pzx
+    i_xz = float((joint.p_x[:, None] * dist.rel_entr(pzx, p_z[None, :])).sum())
+    p_zy = pzx.T @ joint.probs
+    i_yz = float(dist.rel_entr(p_zy, np.outer(p_z, joint.p_y)).sum())
+    return i_xz, i_yz
+
+
+def _reference_fixed_point(stack, joint, beta, max_iters, tol):
+    tiny = 1e-300
+    floor = math.log(tiny)
+    p_x = joint.p_x
+    p_yx = joint.probs / p_x[:, None]
+    offset = -beta * entropy(joint.p_y)
+
+    def update(pzx):
+        p_z = p_x @ pzx
+        p_y_given_z = (pzx.transpose(0, 2, 1) @ joint.probs) / np.maximum(p_z, tiny)[:, :, None]
+        logits = np.log(p_z)[:, None, :] + beta * (
+            p_yx @ np.log(np.maximum(p_y_given_z, tiny)).transpose(0, 2, 1)
+        )
+        peak = logits.max(axis=2, keepdims=True)
+        new = np.exp(logits - peak)
+        total = new.sum(axis=2, keepdims=True)
+        new /= total
+        log_norm = peak + np.log(total)
+        free = offset - (log_norm[:, :, 0] * p_x).sum(axis=1)
+        return new, np.maximum(logits - log_norm, floor), free
+
+    n = len(stack)
+    out_probs = np.empty_like(stack)
+    out_iters = np.zeros(n, dtype=int)
+    out_converged = np.zeros(n, dtype=bool)
+    out_increase = np.zeros(n)
+    active = np.arange(n)
+    cur = stack
+    last_free = np.full(n, np.inf)
+    increase = np.zeros(n)
+    evals = 0
+
+    def record(free, mask=True):
+        nonlocal last_free, increase
+        rise = np.where(mask, free - last_free, 0.0)
+        increase = np.maximum(increase, rise)
+        last_free = np.where(mask, free, last_free)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cur_log = np.maximum(np.log(np.maximum(stack, 0.0)), floor)
+        while active.size and evals < max_iters:
+            log0 = cur_log
+            new, cur_log, free = update(cur)
+            evals += 1
+            record(free)
+            done = np.abs(new - cur).max(axis=(1, 2)) < tol
+            cur = new
+            if done.any():
+                out_probs[active[done]] = cur[done]
+                out_iters[active[done]] = evals
+                out_converged[active[done]] = True
+                out_increase[active[done]] = increase[done]
+                keep = ~done
+                active, cur, cur_log, log0, last_free, increase = (
+                    a[keep] for a in (active, cur, cur_log, log0, last_free, increase)
+                )
+            if not active.size or evals >= max_iters:
+                break
+            log1 = cur_log
+            plain, log2, plain_free = update(cur)
+            evals += 1
+            record(plain_free)
+            cur, cur_log = plain, log2
+            if evals >= max_iters:
+                break
+            r = log1 - log0
+            v = log2 - 2.0 * log1 + log0
+            r_norm = np.sqrt((r * r).sum(axis=(1, 2)))
+            v_norm = np.sqrt((v * v).sum(axis=(1, 2)))
+            alpha = np.minimum(-1.0, -r_norm / np.where(v_norm > 0.0, v_norm, np.inf))
+            alpha = alpha[:, None, None]
+            jump = log0 - 2.0 * alpha * r + alpha * alpha * v
+            jump = np.exp(jump - jump.max(axis=2, keepdims=True))
+            jump /= jump.sum(axis=2, keepdims=True)
+            stable, log3, stable_free = update(jump)
+            evals += 1
+            ok = stable_free <= plain_free
+            record(stable_free, ok)
+            cur = np.where(ok[:, None, None], stable, plain)
+            cur_log = np.where(ok[:, None, None], log3, log2)
+
+    out_probs[active] = cur
+    out_iters[active] = evals
+    out_increase[active] = increase
+    return out_probs, out_iters, out_converged, out_increase
+
+
+def reference_solve(joint, beta, z_card, *, seed, max_iters=5000, restarts=5, init_probs=None):
+    """A merge per call, the np.add.at projection, the per-restart
+    information pair and the np.where kernel."""
+    n_x = joint.shape[0]
+    inits = [] if init_probs is None else [np.asarray(init_probs, dtype=float).copy()]
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        inits.append(rng.dirichlet(np.full(z_card, 10.0), size=n_x))
+    merged, group = _reference_merge_rows(joint)
+    start = np.zeros((len(inits), merged.shape[0], z_card))
+    np.add.at(start, (slice(None), group), np.stack(inits) * joint.p_x[:, None])
+    start /= np.bincount(group, weights=joint.p_x)[:, None]
+    probs, iterations, converged, increases = _reference_fixed_point(
+        start, merged, beta, max_iters, 1e-10
+    )
+    pairs = [_reference_information_pair(p, merged) for p in probs]
+    objectives = [i_xz - beta * i_yz for i_xz, i_yz in pairs]
+    lowest = min(objectives)
+    cutoff = lowest + 1e-12 * max(1.0, abs(lowest))
+    win = next(k for k, obj in enumerate(objectives) if obj <= cutoff)
+    return Encoder(
+        probs=probs[win][group],
+        beta=beta,
+        converged=bool(converged[win]),
+        iterations=int(iterations[win]),
+        objective=objectives[win],
+        diagnostics={
+            "restart": win,
+            "restarts_run": len(inits),
+            "max_objective_increase": float(increases[win]),
+            "i_xz": pairs[win][0],
+            "i_yz": pairs[win][1],
+            "distinct_rows": merged.shape[0],
+        },
+    )
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got.probs, want.probs)
+    assert (got.objective, got.iterations, got.converged) == (
+        want.objective, want.iterations, want.converged
+    )
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("rate, betas", [
+    (0.2, (1.5, 2.6, 2.85, 3.5, 4.5)),
+    (0.0, (0.82, 0.99, 1.02, 1.1, 1.45)),
+])
+def test_solve_is_bitwise_the_reference_on_presets(rate, betas):
+    joint = discretize(noise_preset(rate), bins_per_axis=32)
+    for seed, beta in enumerate(betas):
+        got = solve(joint, beta, seed=seed)
+        assert_bitwise_equal(got, reference_solve(joint, beta, 4, seed=seed))
+
+
+def repeated_rows_joint(rng):
+    """2-400 distinct rows p(y|x), each repeated 1-3 times at masses that
+    differ by powers of two (which keeps p(y|x) bitwise equal), shuffled."""
+    distinct = int(rng.integers(2, 401))
+    classes = int(rng.integers(2, 6))
+    cond = rng.dirichlet(np.full(classes, 0.5), size=distinct)
+    mass = rng.uniform(0.5, 1.5, size=distinct)
+    rows = [
+        cond[t] * mass[t] * scale
+        for t in range(distinct)
+        for scale in (1.0, 0.5, 2.0)[: int(rng.integers(1, 4))]
+    ]
+    probs = np.array(rows)[rng.permutation(len(rows))]
+    return DiscreteJoint(probs / probs.sum())
+
+
+def test_solve_is_bitwise_the_reference_on_random_tables():
+    rng = np.random.default_rng(15)
+    merged_somewhere = False
+    for case in range(100):
+        joint = repeated_rows_joint(rng)
+        z_card = int(rng.integers(2, 7))
+        restarts = int(rng.integers(0, 6))
+        init = None
+        if restarts == 0 or rng.random() < 0.5:
+            init = rng.dirichlet(np.ones(z_card), size=joint.shape[0])
+        beta = float(rng.uniform(0.5, 8.0))
+        kwargs = dict(seed=case, max_iters=int(rng.integers(1, 300)),
+                      restarts=restarts, init_probs=init)
+        got = solve(joint, beta, z_card, **kwargs)
+        assert_bitwise_equal(got, reference_solve(joint, beta, z_card, **kwargs))
+        merged_somewhere |= got.diagnostics["distinct_rows"] < joint.shape[0]
+    assert merged_somewhere
+
+
+def test_sweep_merges_rows_once(monkeypatch):
+    calls = []
+    original = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    joint = discretize(noise_preset(0.2))
+    result = sweep(joint, np.geomspace(1.5, 4.5, 7), seed=0)
+    assert len(result.points) == 7 and len(calls) == 1
+    merged, group = joint.merged
+    assert joint.merged[0] is merged and not group.flags.writeable
+
+
+def test_pickled_joint_solves_the_same():
+    joint = discretize(noise_preset(0.0))
+    fresh = pickle.loads(pickle.dumps(joint))
+    merged_first = joint.merged
+    carried = pickle.loads(pickle.dumps(joint))
+    assert "merged" in vars(carried) and "merged" not in vars(fresh)
+    want = solve(joint, 1.1, seed=4)
+    for copy in (fresh, carried):
+        assert_bitwise_equal(solve(copy, 1.1, seed=4), want)
+        assert np.array_equal(copy.merged[1], merged_first[1])
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_max_iters_below_one_rejected_before_any_point(monkeypatch, max_iters):
+    with pytest.raises(ValidationError, match="max_iters"):
+        solve(two_cluster_joint(0.2), 3.0, 2, max_iters=max_iters)
+    monkeypatch.setattr(solver, "solve", _no_solve)
+    with pytest.raises(ValidationError, match="max_iters"):
+        sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), max_iters=max_iters)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
+def test_sweep_rejects_non_positive_or_non_finite_beta_before_any_point(monkeypatch, bad):
+    monkeypatch.setattr(solver, "solve", _no_solve)
+    grid = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
+    for k in (0, 6):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            sweep(two_cluster_joint(0.2), grid[:k] + [bad] + grid[k + 1:])
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a grid point was solved")
