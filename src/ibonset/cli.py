@@ -8,7 +8,12 @@ from the single ``--seed`` flag, fanned out deterministically per task, so
 reruns with the same config produce identical outputs up to the report
 timestamp.
 The ``IBONSET_OUT_DIR`` environment variable redirects relative output
-paths; nothing else is read from the environment.
+paths; nothing else is read from the environment.  One default is written
+to it: when none of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` is set and numpy is not loaded yet, importing this module
+sets ``OPENBLAS_NUM_THREADS=1``, because every table here is small enough
+that OpenBLAS's worker threads cost start-up time and never pay it back.  A
+count you set wins, for example ``OPENBLAS_NUM_THREADS=4 ibonset sweep ...``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+# the BLAS default of the module docstring; OpenBLAS reads it once, at load
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

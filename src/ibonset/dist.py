@@ -50,6 +50,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _setstate_frozen(self, state: dict) -> None:
+    """``__setstate__`` of the containers: pickle and ``copy.deepcopy`` hand
+    back writeable arrays, so every array of ``state`` (and the group index
+    of a kept ``merged``) is frozen again before it is restored."""
+    for value in state.values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                _freeze(item)
+    self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Full joint probability table p(x, y), rows indexed by x.
@@ -77,6 +88,8 @@ class DiscreteJoint:
         object.__setattr__(self, "probs", _freeze(arr))
         object.__setattr__(self, "p_x", _freeze(arr.sum(axis=1)))
         object.__setattr__(self, "p_y", _freeze(arr.sum(axis=0)))
+
+    __setstate__ = _setstate_frozen
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -129,6 +142,8 @@ class ConditionalMatrix:
         object.__setattr__(self, "weights", _freeze(w))
         p_y = w @ rows
         object.__setattr__(self, "p_y", _freeze(p_y / p_y.sum()))
+
+    __setstate__ = _setstate_frozen
 
     @property
     def num_examples(self) -> int:

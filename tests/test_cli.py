@@ -222,19 +222,31 @@ _NOT_AT_IMPORT = ("scipy", "concurrent.futures.process", "numpy.ma",
                   "ibonset.solver", "ibonset.classifier")
 
 
-def _loaded_after(code: str, cwd=None) -> list[str]:
-    """Which of the modules in ``_NOT_AT_IMPORT`` a fresh interpreter has
-    loaded after running ``code``."""
+#: the variables that set OpenBLAS's thread count
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code: str, cwd=None, env=None):
+    """The JSON value that ``code``, run in a fresh interpreter with ``json``
+    and ``sys`` imported, prints on its last line; ``env`` replaces the
+    environment, apart from ``PYTHONPATH``."""
     src = str(Path(ibonset.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import json, sys\n{code}\n"
-         f"print(json.dumps(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules))))"],
-        env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
+        [sys.executable, "-c", f"import json, sys\n{code}"],
+        env={**(os.environ if env is None else env), "PYTHONPATH": src}, cwd=cwd,
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str, cwd=None) -> list[str]:
+    """Which of the modules in ``_NOT_AT_IMPORT`` a fresh interpreter has
+    loaded after running ``code``."""
+    return _fresh_python(
+        f"{code}\nprint(json.dumps(sorted(set({_NOT_AT_IMPORT!r}) & set(sys.modules))))",
+        cwd=cwd,
+    )
 
 
 def test_cli_import_does_not_load_scipy():
@@ -254,35 +266,95 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv, loaded):
     assert _loaded_after(code, cwd=tmp_path) == loaded
 
 
+#: what ``from ibonset import *`` bound when the package imported every
+#: submodule but solver eagerly, less ``importlib``, which it imported for
+#: its own use
+_STAR_NAMES = [
+    "BetaEstimate", "ConditionalMatrix", "DiscreteJoint", "IndependenceError",
+    "InvalidDirectionError", "Method", "MixtureSpec", "OnsetError", "SampleSet",
+    "SubsetResult", "UninformativeSubsetError", "ValidationError",
+    "analytic_posterior", "beta_for_scores", "beta_for_subset",
+    "class_conditional_beta", "conditional_from_joint", "discretize", "dist",
+    "entropy", "errors", "estimators", "get_preset", "info_density_beta",
+    "joint_from_conditional", "load_conditional_csv", "load_joint_csv",
+    "load_spec_json", "max_correlation", "max_correlation_beta", "minimize_beta",
+    "mutual_information", "noise_preset", "onset_correction", "overlap_preset",
+    "sample", "save_conditional_csv", "save_joint_csv", "save_samples_csv",
+    "save_spec_json", "subset_search", "symmetric_flip", "synth",
+]
+
+#: every public name of the package when solver was imported eagerly
+_PUBLIC_NAMES = sorted([
+    *_STAR_NAMES, "Encoder", "SweepPoint", "SweepResult", "detect_onset",
+    "info_plane", "save_sweep_csv", "solve", "solver", "sweep", "__version__",
+])
+
+
 def test_package_names_resolve_and_solver_loads_on_first_use():
-    # every public name of the package when solver was imported eagerly
-    names = [
-        "BetaEstimate", "ConditionalMatrix", "DiscreteJoint", "Encoder",
-        "IndependenceError", "InvalidDirectionError", "Method", "MixtureSpec",
-        "OnsetError", "SampleSet", "SubsetResult", "SweepPoint", "SweepResult",
-        "UninformativeSubsetError", "ValidationError", "analytic_posterior",
-        "beta_for_scores", "beta_for_subset", "class_conditional_beta",
-        "conditional_from_joint", "detect_onset", "discretize", "dist", "entropy",
-        "errors", "estimators", "get_preset", "info_density_beta", "info_plane",
-        "joint_from_conditional", "load_conditional_csv", "load_joint_csv",
-        "load_spec_json", "max_correlation", "max_correlation_beta", "minimize_beta",
-        "mutual_information", "noise_preset", "onset_correction", "overlap_preset",
-        "sample", "save_conditional_csv", "save_joint_csv", "save_samples_csv",
-        "save_spec_json", "save_sweep_csv", "solve", "solver", "subset_search",
-        "sweep", "symmetric_flip", "synth", "__version__",
-    ]
     code = (
         "import ibonset\n"
         "assert 'ibonset.solver' not in sys.modules\n"
-        f"missing = [n for n in {names!r} if not hasattr(ibonset, n)]\n"
+        f"missing = [n for n in {_PUBLIC_NAMES!r} if not hasattr(ibonset, n)]\n"
         "assert missing == [], missing\n"
-        f"assert set(dir(ibonset)) >= set({names!r})\n"
+        f"assert set(dir(ibonset)) >= set({_PUBLIC_NAMES!r})\n"
         "from ibonset import sweep, solver\n"
         "assert sweep is solver.sweep and ibonset.solver is solver"
     )
     assert _loaded_after(code) == ["ibonset.solver"]
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ibonset.no_such_name
+
+
+def test_package_import_loads_nothing_until_a_name_is_used():
+    code = (
+        "import ibonset\n"
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('ibonset.')]\n"
+        "assert loaded == [], loaded\n"
+        "star = {}\n"
+        "exec('from ibonset import *', star)\n"
+        "print(json.dumps(sorted(set(star) - {'__builtins__'})))"
+    )
+    assert _fresh_python(code) == _STAR_NAMES
+
+
+def _blas_env(**given) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    return {**env, **given}
+
+
+_PRINT_BLAS_VARS = f"print(json.dumps({{k: os.environ.get(k) for k in {_BLAS_VARS!r}}}))"
+
+
+@pytest.mark.parametrize("given", [
+    {}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"},
+], ids=["unset", "openblas", "goto", "omp"])
+def test_cli_import_defaults_blas_to_one_thread_unless_a_count_is_set(given):
+    code = f"import os\nimport ibonset.cli\n{_PRINT_BLAS_VARS}"
+    want = {var: given.get(var) for var in _BLAS_VARS}
+    if not given:
+        want["OPENBLAS_NUM_THREADS"] = "1"
+    assert _fresh_python(code, env=_blas_env(**given)) == want
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone():
+    code = f"import os\nimport numpy\nimport ibonset.cli\n{_PRINT_BLAS_VARS}"
+    assert _fresh_python(code, env=_blas_env()) == dict.fromkeys(_BLAS_VARS)
+
+
+def test_cli_runs_with_one_live_blas_thread():
+    # the run-time count of the OpenBLAS that numpy loaded, as the
+    # benchmark's environment block reads it
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = (
+        "import ibonset.cli\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from run import blas_threads\n"
+        "print(json.dumps(blas_threads()))"
+    )
+    count = _fresh_python(code, env=_blas_env())
+    if count is None:
+        pytest.skip("numpy loaded no OpenBLAS library")
+    assert count == 1
 
 
 def test_estimate_config_file_flags_override(tmp_path):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import csv
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from scipy.special import rel_entr
 
 from ibonset import (
+    ConditionalMatrix,
     DiscreteJoint,
     Encoder,
     ValidationError,
@@ -665,6 +667,30 @@ def test_pickled_joint_solves_the_same():
     for copy in (fresh, carried):
         assert_bitwise_equal(solve(copy, 1.1, seed=4), want)
         assert np.array_equal(copy.merged[1], merged_first[1])
+
+
+_ROUND_TRIPS = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+                "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("round_trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS)
+def test_round_trip_keeps_every_array_frozen_and_equal(round_trip):
+    joint = discretize(noise_preset(0.2))
+    merged, group = joint.merged
+    cond = ConditionalMatrix(joint.probs / joint.p_x[:, None], joint.p_x)
+    joint_copy, cond_copy = round_trip(joint), round_trip(cond)
+    merged_copy, group_copy = joint_copy.merged
+    pairs = [
+        (joint.probs, joint_copy.probs), (joint.p_x, joint_copy.p_x),
+        (joint.p_y, joint_copy.p_y), (group, group_copy),
+        (merged.probs, merged_copy.probs), (merged.p_x, merged_copy.p_x),
+        (merged.p_y, merged_copy.p_y), (cond.rows, cond_copy.rows),
+        (cond.weights, cond_copy.weights), (cond.p_y, cond_copy.p_y),
+    ]
+    for want, got in pairs:
+        assert got is not want and not got.flags.writeable
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert_bitwise_equal(solve(joint_copy, 3.0, seed=4), solve(joint, 3.0, seed=4))
 
 
 @pytest.mark.parametrize("max_iters", [0, -3])
