@@ -101,13 +101,8 @@ def _build_config(command: str, cli_values: dict, config_path: str | None) -> di
         for key, value in doc.items():
             if value is None:
                 continue
-            kind = options[key][0]
-            if isinstance(kind, tuple):
-                ok, convert = value in kind, None
-            else:
-                _, check, convert = _KINDS[kind]
-                ok = check(value)
-            if not ok:
+            _, check, convert = _KINDS[options[key][0]]
+            if not check(value):
                 raise ValidationError(f"{command}: bad value for {key!r}: {value!r}")
             config[key] = convert(value) if convert else value
     config.update({k: v for k, v in cli_values.items() if v is not None})
@@ -226,14 +221,12 @@ def _cmd_gen(config) -> int:
 
 
 def _subset(problem: _Problem, config) -> estimators.BetaEstimate:
-    # only estimate has a variant flag; sweep and table use the prefix search
-    variant = config.get("variant", "prefix")
-    res = estimators.subset_search(problem.cond, variant=variant)
+    res = estimators.subset_search(problem.cond)
     return estimators.BetaEstimate(
         value=res.beta0,
         method=estimators.Method.SUBSET_SEARCH,
         subset=res,
-        diagnostics={"variant": variant},
+        diagnostics={"variant": "prefix"},
     )
 
 
@@ -250,9 +243,7 @@ _ESTIMATORS = {
         problem.joint, seed=config["seed"]
     ),
     "maxcorr": lambda problem, config: estimators.max_correlation_beta(problem.joint),
-    "info-density": lambda problem, config: estimators.info_density_beta(
-        problem.cond, variant=config["variant"]
-    ),
+    "info-density": lambda problem, config: estimators.info_density_beta(problem.cond),
 }
 
 
@@ -311,6 +302,8 @@ def _cmd_estimate(config) -> int:
 def _geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not (0.0 < lo < hi < np.inf):
         raise ValidationError("need 0 < beta_min < beta_max, both finite")
+    if points < 1:
+        raise ValidationError(f"beta_points must be positive, got {points}")
     return np.geomspace(lo, hi, points)
 
 
@@ -327,7 +320,6 @@ def _cmd_sweep(config) -> int:
         max_iters=config["max_iters"],
         restarts=config["restarts"],
         warm_start=config["warm_start"],
-        workers=config["workers"],
     )
 
     theory = _theory(problem, ("subset", "class-conditional", "maxcorr"), config)
@@ -466,8 +458,8 @@ _INPUT = {
 
 #: subcommand -> (help, handler, options).  Each option is key -> (kind,
 #: default, help); its flag is the key with dashes, and a config document
-#: uses the key itself.  A kind is str, int, float, list (of floats), bool
-#: (an on/off switch), or a tuple of the allowed strings.
+#: uses the key itself.  A kind is str, int, float, list (of floats) or bool
+#: (an on/off switch).
 _COMMANDS = {
     "gen": ("generate a synthetic dataset", _cmd_gen, {
         "preset": (str, None, None),
@@ -481,11 +473,6 @@ _COMMANDS = {
         **_INPUT,
         "method": (str, "all", "comma list of subset, class-conditional, functional, "
                    "maxcorr, info-density, or 'all'"),
-        "variant": (("prefix", "range"), "prefix",
-                    "subset candidates: 'prefix' (default, the paper's algorithm) or "
-                    "'range', exhaustive only up to N = 723 and beyond that a local "
-                    "search that missed the exhaustive minimum by up to 23%% in "
-                    "forced small-N tests"),
         "samples": (int, None, "sample the mixture and use analytic posteriors"),
         "bins": (int, 32, None),
         "seed": (int, 0, None),
@@ -502,8 +489,6 @@ _COMMANDS = {
         "bins": (int, 32, None),
         "seed": (int, 0, None),
         "warm_start": (bool, False, None),
-        "workers": (int, None, "solve the grid points in this many processes (rarely "
-                    "faster: the solver runs on the distinct rows of p(y|x))"),
         "out_csv": (str, "sweep.csv", None),
         "out_json": (str, "sweep.json", None),
     }),
@@ -539,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True, help=option_help)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, help=option_help)
             else:
                 p.add_argument(flag, type=_KINDS[kind][0], help=option_help)
         p.add_argument("--config", help="JSON config document (flags override)")

@@ -283,8 +283,12 @@ def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> Subset
     anchored at the top row by default (``variant='prefix'``), or over free
     ranges (``variant='range'``), exact while N(N+1)/2 is at most
     ``_RANGE_SCAN_LIMIT`` and by coordinate descent with exact steps from
-    the best prefix beyond.  The minimum over pivot classes is returned.
-    The result is an upper bound on the true threshold.
+    the best prefix beyond, a local search that missed the exhaustive
+    minimum by up to 23% in forced small-N tests.  The minimum over pivot
+    classes is returned.  The result is an upper bound on the true
+    threshold.  Every command runs the prefix search; ``variant`` stays
+    only for the benchmark probes in ``bench/tracing.py`` that call it and
+    goes once they are retired.
 
     Raises :class:`IndependenceError` when no candidate subset carries any
     label information.
@@ -299,7 +303,8 @@ def info_density_beta(cond: ConditionalMatrix, *, variant: str = "prefix") -> Be
     Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the same candidate
     family as :func:`subset_search`.  Both numerator and denominator are
     relaxations, so the result is a diagnostic, not a bound; it is flagged
-    ``diagnostic_only`` in the report.
+    ``diagnostic_only`` in the report.  Every command runs the prefix
+    search; ``variant`` goes with :func:`subset_search`'s.
     """
     value, pivot, lo, hi, tables = _best_subset(cond, _info_density_ratio, variant)
     return BetaEstimate(

@@ -432,11 +432,15 @@ def sweep(
     processes; the pool never holds more processes than grid points or
     CPUs, and 0 or 1 worker runs serially.  Every point is one call of the
     module-level :func:`solve`, on the distinct rows of p(y|x) merged once
-    per table, so a serial sweep of a table with many equal rows is about
-    as fast as a pool of two workers.  ``warm_start`` instead anneals from
-    the top of the grid downward, feeding each solution as an extra
-    initialization to the next lower beta; this can change which local
-    optimum is reached and is off by default.  A non-positive or non-finite
+    per table, so the pool does not pay: on 2 cores, the 25-point
+    ``noise-0.2`` sweep at seed 1, run end to end as a command, took a
+    median 0.46 s with two workers against 0.38 s serially, slower in 8 of
+    8 alternating runs.  No command sets ``workers``; it stays only for the
+    benchmark probes in ``bench/tracing.py`` that call it and goes once
+    they are retired.  ``warm_start`` instead anneals from the top of the
+    grid downward, feeding each solution as an extra initialization to the
+    next lower beta; this can change which local optimum is reached and is
+    off by default.  A non-positive or non-finite
     beta or ``max_iters`` below 1 is rejected before any point is solved.
 
     ``protocol`` records the detection band, the solver settings, the

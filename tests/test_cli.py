@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -118,11 +119,13 @@ def test_estimate_unknown_preset_exits_1():
     assert main(["estimate", "--preset", "nope-1.0"]) == 1
 
 
-def test_estimate_config_file_with_unknown_key(tmp_path):
+def test_estimate_config_file_with_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    for key in ("surprise", "tolerance"):
-        cfg.write_text(json.dumps({"preset": "noise-0.2", key: 1}))
-        assert main(["estimate", "--config", str(cfg)]) == 1
+    for command, key, value in [("estimate", "surprise", 1), ("estimate", "tolerance", 1),
+                                ("estimate", "variant", "range"), ("sweep", "workers", 2)]:
+        cfg.write_text(json.dumps({"preset": "noise-0.2", key: value}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -144,15 +147,12 @@ def test_config_document_values_are_not_coerced(tmp_path, capsys, command, doc):
     assert f"bad value for {next(iter(doc))!r}" in capsys.readouterr().err
 
 
-def _non_default(kind, default):
-    """A value of ``kind`` other than ``default``: (flag argv, document value)."""
+def _non_default(kind):
+    """A value of ``kind`` that is no option's default: (flag argv, document value)."""
     if kind is bool:
         return [], True
-    if isinstance(kind, tuple):
-        value = next(v for v in kind if v != default)
-    else:
-        # integral numbers: a float option takes any JSON number
-        value = {str: "other", int: 7, float: 2, list: [0, 0.3]}[kind]
+    # integral numbers: a float option takes any JSON number
+    value = {str: "other", int: 7, float: 2, list: [0, 0.3]}[kind]
     text = ",".join(map(str, value)) if kind is list else str(value)
     return [text], value
 
@@ -162,7 +162,7 @@ def _non_default(kind, default):
 ])
 def test_flag_and_config_document_give_the_same_config(tmp_path, command, key):
     kind, default, _ = _COMMANDS[command][2][key]
-    argv, value = _non_default(kind, default)
+    argv, value = _non_default(kind)
     parser = build_parser()
 
     def values(extra):
@@ -186,6 +186,19 @@ def test_parser_dests_are_the_option_table(command):
     assert dests == set(_COMMANDS[command][2]) | {"command", "config"}
 
 
+def test_readme_flags_are_options_of_some_command():
+    # the README's command-line section and solver bullet once advertised
+    # flags that no command had any more
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command_line = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    solver_bullet = readme.split("\n* `ibonset.solver`", 1)[1].split("\n* ", 1)[0]
+    flags = set(re.findall(r"--[a-z][a-z-]*", command_line + solver_bullet))
+    options = {"--" + key.replace("_", "-")
+               for _, _, command_options in _COMMANDS.values() for key in command_options}
+    assert "--seed" in flags and "--sweep-column" in flags
+    assert sorted(flags - options - {"--config"}) == []
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_estimate_method_list_empty_or_repeated(tmp_path, capsys, via):
     def run(method):
@@ -207,17 +220,21 @@ def test_estimate_method_list_empty_or_repeated(tmp_path, capsys, via):
 
 def test_estimate_rejects_tolerance_flag():
     # the subset search is exact, so it has no tolerance to set; maxcorr
-    # draws no random numbers, so it has no seed
+    # draws no random numbers, so it has no seed; estimate runs only the
+    # prefix search and sweep only the serial grid
     for argv in (["estimate", "--preset", "noise-0.2", "--tolerance", "1e-6"],
-                 ["maxcorr", "--preset", "noise-0.2", "--seed", "1"]):
+                 ["maxcorr", "--preset", "noise-0.2", "--seed", "1"],
+                 ["estimate", "--preset", "noise-0.2", "--variant", "range"],
+                 ["sweep", "--preset", "noise-0.2", "--workers", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
 
 
 #: modules a fresh ``import ibonset.cli`` must not load: scipy, the process
-#: pool (only sweep --workers uses it), numpy.ma (which np.unique of labels
-#: imports) and the layers only some commands run
+#: pool (no command uses it; only the library's ``sweep(workers=)`` does),
+#: numpy.ma (which np.unique of labels imports) and the layers only some
+#: commands run
 _NOT_AT_IMPORT = ("scipy", "concurrent.futures.process", "numpy.ma",
                   "ibonset.solver", "ibonset.classifier")
 
@@ -501,7 +518,9 @@ def test_sweep_non_convergence_exits_3(tmp_path):
     # with "beta must be positive, got inf"
     (["--beta-max", "inf"], "both finite"),
     (["--beta-min", "nan"], "both finite"),
-], ids=["max-iters-0", "max-iters-neg", "beta-max-inf", "beta-min-nan"])
+    # a ValueError traceback from np.geomspace
+    (["--beta-points", "-1"], "beta_points must be positive, got -1"),
+], ids=["max-iters-0", "max-iters-neg", "beta-max-inf", "beta-min-nan", "beta-points-neg"])
 def test_sweep_bad_solver_settings_exit_1_before_solving(
     tmp_path, capsys, monkeypatch, argv, message
 ):
@@ -515,6 +534,20 @@ def test_sweep_bad_solver_settings_exit_1_before_solving(
         assert main(["sweep", "--preset", "noise-0.2", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monkeypatch):
+    # a ValueError traceback from np.geomspace
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["table", "--rates", "0.2", "--sweep-column", "--beta-points", "-2",
+                 "--out", "t.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta_points must be positive, got -2" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
