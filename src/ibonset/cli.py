@@ -299,11 +299,15 @@ def _cmd_estimate(config) -> int:
     return _EXIT_OK
 
 
+def _check_beta_points(points: int) -> None:
+    if points < 1:
+        raise ValidationError(f"beta_points must be positive, got {points}")
+
+
 def _geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not (0.0 < lo < hi < np.inf):
         raise ValidationError("need 0 < beta_min < beta_max, both finite")
-    if points < 1:
-        raise ValidationError(f"beta_points must be positive, got {points}")
+    _check_beta_points(points)
     return np.geomspace(lo, hi, points)
 
 
@@ -402,6 +406,8 @@ def _table_row(rho: float, config) -> dict:
 def _cmd_table(config) -> int:
     if not config["rates"]:
         raise ValidationError("table: rates must list at least one flip rate")
+    # read only by --sweep-column, but checked before any row is computed
+    _check_beta_points(config["beta_points"])
     rows = [_table_row(rho, config) for rho in config["rates"]]
     columns = list(rows[0].keys())
     header = "  ".join(f"{c:>22}" for c in columns)

@@ -137,6 +137,16 @@ def load_spec_json(path) -> MixtureSpec:
     return MixtureSpec.from_dict(doc)
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """An int array of ``values``; a fraction, NaN or infinity raises a
+    ValidationError that names the field, where a cast would truncate it
+    or make up a number."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (np.trunc(raw) == raw)).all():
+        raise ValidationError(f"{name} must be whole numbers")
+    return np.array(raw, dtype=int)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Drawn points with both observed (possibly flipped) and true labels."""
@@ -147,10 +157,12 @@ class SampleSet:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
-        obs = np.array(self.observed_labels, dtype=int)
-        true = np.array(self.true_labels, dtype=int)
+        obs = _whole_numbers(self.observed_labels, "observed_labels")
+        true = _whole_numbers(self.true_labels, "true_labels")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError("points must be N x 2")
+        if not np.isfinite(pts).all():
+            raise ValidationError("points must be finite")
         if len(obs) != len(pts) or len(true) != len(pts):
             raise ValidationError("label arrays must match point count")
         if len(pts) and (obs.min() < 0 or true.min() < 0):

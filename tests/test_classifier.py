@@ -114,7 +114,13 @@ def _labeled_points(n, n_classes, seed):
     (sample(noise_preset(0.2), 1000, seed=11), TrainConfig(epochs=6, seed=4)),
     (_labeled_points(1000, 5, seed=12),
      TrainConfig(hidden=(16, 8), epochs=4, batch_size=96, seed=5)),
-], ids=["2-classes", "5-classes-2-hidden"])
+    (_labeled_points(300, 2, seed=13), TrainConfig(hidden=(), epochs=5, seed=6)),
+    (_labeled_points(300, 2, seed=14), TrainConfig(epochs=5, batch_size=300, seed=7)),
+    (_labeled_points(200, 2, seed=15), TrainConfig(epochs=5, batch_size=512, seed=8)),
+    (_labeled_points(640, 2, seed=16), TrainConfig(epochs=4, batch_size=64, seed=9)),
+    (_labeled_points(500, 3, seed=17), TrainConfig(hidden=(12,), epochs=4, seed=10)),
+], ids=["2-classes", "5-classes-2-hidden", "no-hidden", "one-batch-of-n",
+        "one-batch-above-n", "n-divisible", "3-classes"])
 def test_fit_is_bitwise_the_reference_loop(samples, cfg):
     model = fit(samples, cfg)
     weights, biases = _reference_fit(samples, cfg)
@@ -126,6 +132,56 @@ def test_fit_is_bitwise_the_reference_loop(samples, cfg):
     logits, _ = _reference_forward(weights, biases, x)
     want = ConditionalMatrix(np.exp(_reference_log_softmax(logits)))
     assert np.array_equal(predict_proba(model, samples.points).rows, want.rows)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 7])
+@pytest.mark.parametrize("hidden", [(), (9,), (6, 5)], ids=["0", "1", "2"])
+def test_loss_and_gradients_are_bitwise_the_reference(rng, n_classes, hidden):
+    x = rng.standard_normal((40, 3))
+    labels = rng.integers(0, n_classes, size=40)
+    sizes = [3, *hidden, n_classes]
+    weights = [rng.uniform(-0.8, 0.8, size=shape) for shape in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.standard_normal(k) * 0.1 for k in sizes[1:]]
+    loss, gw, gb = loss_and_gradients(weights, biases, x, labels)
+    ref_loss, ref_gw, ref_gb = _reference_loss_and_gradients(weights, biases, x, labels)
+    assert loss == ref_loss
+    assert len(gw) == len(ref_gw) and len(gb) == len(ref_gb)
+    for got, want in [*zip(gw, ref_gw), *zip(gb, ref_gb)]:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_fit_returns_arrays_independent_of_each_other_and_of_training():
+    samples = _labeled_points(300, 3, seed=18)
+    model = fit(samples, TrainConfig(hidden=(8, 4), epochs=2, seed=1))
+    arrays = [*model.weights, *model.biases, model.input_mean, model.input_std]
+    # each owns its memory, so none is a view of the flat training vectors
+    assert all(a.flags.owndata for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    # a bare ValueError from range
+    ({"batch_size": 0}, "batch_size"),
+    # trained nothing and returned the initial weights
+    ({"batch_size": -5}, "batch_size"),
+    # trained nothing
+    ({"epochs": -1}, "epochs"),
+    # NaN weights
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"learning_rate": float("inf")}, "learning_rate"),
+    ({"learning_rate": 0.0}, "learning_rate"),
+    # numpy's OverflowError and ValueError
+    ({"hidden": (0,)}, "hidden"),
+    ({"hidden": (-3,)}, "hidden"),
+    # numpy's ValueError from default_rng
+    ({"seed": -1}, "seed"),
+], ids=["batch-0", "batch-neg", "epochs-neg", "lr-nan", "lr-inf", "lr-0",
+        "hidden-0", "hidden-neg", "seed-neg"])
+def test_train_config_rejects_bad_settings(kwargs, field):
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**kwargs)
 
 
 def test_ten_class_step_matches_reference(rng):

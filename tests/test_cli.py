@@ -551,6 +551,28 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    # printed the table and exited 0 with the option unread
+    ["--rates", "0.1"],
+    # trained a classifier for the first rate, then exited 1
+    ["--learned", "--sweep-column", "--rates", "0.1,0.2,0.3", "--samples", "4000"],
+], ids=["plain", "learned-sweep-column"])
+def test_table_negative_beta_points_exits_1_before_any_row(
+    tmp_path, capsys, monkeypatch, argv
+):
+    from ibonset import cli
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("a table row was computed")
+
+    monkeypatch.setattr(cli, "_table_row", no_row)
+    monkeypatch.chdir(tmp_path)
+    assert main(["table", *argv, "--beta-points", "-2", "--out", "t.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta_points must be positive, got -2" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
     original = solver.solve
 

@@ -402,3 +402,33 @@ def test_class_log_densities_match_scipy_logsumexp():
     spec = MixtureSpec(means, variances, weights, [0, 0, 1])
     got = synth._class_log_densities(spec, pts)[:, 0]
     np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_sample_set_rejects_non_finite_points(bad):
+    # one NaN point once made every weight the classifier trained NaN
+    points = np.zeros((4, 2))
+    points[2, 1] = bad
+    with pytest.raises(ValidationError, match="points must be finite"):
+        synth.SampleSet(points, [0, 1, 0, 1], [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("field, labels", [
+    # the int cast truncated 1.5 to 1
+    ("observed_labels", [0.0, 1.5, 1.0]),
+    ("true_labels", [0.0, 1.5, 1.0]),
+    ("observed_labels", [0.0, np.nan, 1.0]),
+    ("true_labels", [0.0, np.inf, 1.0]),
+], ids=["observed-fraction", "true-fraction", "observed-nan", "true-inf"])
+def test_sample_set_rejects_labels_that_are_not_whole_numbers(field, labels):
+    whole = [0, 1, 1]
+    kwargs = {"observed_labels": whole, "true_labels": whole, field: labels}
+    with pytest.raises(ValidationError, match=f"{field} must be whole numbers"):
+        synth.SampleSet(np.zeros((3, 2)), **kwargs)
+
+
+def test_sample_set_keeps_whole_float_labels_as_ints():
+    samples = synth.SampleSet(np.zeros((3, 2)), [0.0, 2.0, 1.0], np.array([1, 0, 2]))
+    assert samples.observed_labels.dtype.kind == "i"
+    np.testing.assert_array_equal(samples.observed_labels, [0, 2, 1])
+    np.testing.assert_array_equal(samples.true_labels, [1, 0, 2])
