@@ -414,6 +414,16 @@ def detect_onset(betas: np.ndarray, i_xz_values: np.ndarray) -> tuple[float | No
     return detected, stats
 
 
+def check_grid_points(points: int) -> None:
+    """Reject a beta grid of ``points`` points, as :func:`sweep` does, when
+    it is too short for :func:`detect_onset`'s baseline band plus two; a
+    front end can call this before it builds the grid."""
+    if points < ONSET_BASELINE_POINTS + 2:
+        raise ValidationError(
+            f"beta grid must be one-dimensional with >= {ONSET_BASELINE_POINTS + 2} points"
+        )
+
+
 def sweep(
     joint: DiscreteJoint,
     beta_grid,
@@ -449,10 +459,7 @@ def sweep(
     the most solver iterations, the first on ties (``slowdown_peak_beta``).
     """
     betas = np.asarray(beta_grid, dtype=float)
-    if betas.ndim != 1 or len(betas) < ONSET_BASELINE_POINTS + 2:
-        raise ValidationError(
-            f"beta grid must be one-dimensional with >= {ONSET_BASELINE_POINTS + 2} points"
-        )
+    check_grid_points(len(betas) if betas.ndim == 1 else 0)
     if not np.all((betas > 0.0) & np.isfinite(betas)):
         raise ValidationError("beta grid must be positive and finite")
     if np.any(np.diff(betas) <= 0.0):

@@ -8,6 +8,9 @@ without running the benchmark.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,20 @@ def test_workload_commands_parse(workloads, tmp_path):
             methods = cli._split_list(getattr(args, "method", None) or "all")
             unknown = [m for m in methods if m != "all" and m not in cli._ESTIMATORS]
             assert unknown == [], f"{workload}: {command.name}"
+
+
+def test_quick_workload_passes_its_checks_through_the_module_entry_point(workloads, tmp_path):
+    # as the benchmark runs them: a fresh `python -m ibonset.cli` per command,
+    # so an exit path that lost or truncated a report fails its check here
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    inputs = workloads.make_inputs("cli-quick", 1, tmp_path)
+    for command in workloads.commands("cli-quick", 1, tmp_path, inputs):
+        proc = subprocess.run([sys.executable, "-m", "ibonset.cli", *command.argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{command.name}: {proc.stderr}"
+        _, failure = command.verify()
+        assert failure == "", f"{command.name}: {failure}"
 
 
 @pytest.mark.parametrize("module, name, argv", [

@@ -243,16 +243,21 @@ _NOT_AT_IMPORT = ("scipy", "concurrent.futures.process", "numpy.ma",
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _fresh_python(code: str, cwd=None, env=None):
-    """The JSON value that ``code``, run in a fresh interpreter with ``json``
-    and ``sys`` imported, prints on its last line; ``env`` replaces the
-    environment, apart from ``PYTHONPATH``."""
+def _python(*args: str, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` and this package on its path;
+    ``env`` replaces the environment, apart from ``PYTHONPATH``."""
     src = str(Path(ibonset.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}"],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**(os.environ if env is None else env), "PYTHONPATH": src}, cwd=cwd,
         capture_output=True, text=True,
     )
+
+
+def _fresh_python(code: str, cwd=None, env=None):
+    """The JSON value that ``code``, run by :func:`_python` with ``json`` and
+    ``sys`` imported, prints on its last line."""
+    proc = _python("-c", f"import json, sys\n{code}", cwd=cwd, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -372,6 +377,81 @@ def test_cli_runs_with_one_live_blas_thread():
     if count is None:
         pytest.skip("numpy loaded no OpenBLAS library")
     assert count == 1
+
+
+def _buffered_env() -> dict:
+    """This environment without ``PYTHONUNBUFFERED``: a child's stdout to a
+    pipe is then block-buffered, so only its exit path writes it out."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _in_process(argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["maxcorr", "--preset", "noise-0.2"], 0),
+    (["estimate", "--preset", "noise-9"], 1),
+    (["estimate", "--preset", "noise-0.5"], 2),
+    (["estimate", "--bogus"], 2),
+    (["--help"], 0),
+], ids=["ok", "input-error", "independent", "argparse-error", "help"])
+def test_module_entry_point_exits_and_prints_as_main(
+    tmp_path, capsys, monkeypatch, argv, code
+):
+    # python -m ibonset.cli ends through run(), which freezes the heap on exit
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    monkeypatch.chdir(tmp_path)
+    proc = _python("-m", "ibonset.cli", *argv, cwd=tmp_path, env=_buffered_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    assert proc.returncode == code
+
+
+_TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["sweep", "--preset", "noise-0.2", "--beta-points", "7",
+      "--out-csv", "s.csv", "--out-json", "s.json"], ["s.csv", "s.json"]),
+    (["estimate", "--preset", "noise-0.2", "--samples", "500", "--out", "e.json"], ["e.json"]),
+    (["gen", "--preset", "noise-0.2", "--n", "500"], ["samples.csv", "spec.json"]),
+], ids=["sweep", "estimate", "gen"])
+def test_module_entry_point_writes_the_reports_main_writes(
+    tmp_path, capsys, monkeypatch, argv, outputs
+):
+    by_run, by_main = tmp_path / "run", tmp_path / "main"
+    by_run.mkdir()
+    by_main.mkdir()
+    proc = _python("-m", "ibonset.cli", *argv, cwd=by_run, env=_buffered_env())
+    monkeypatch.chdir(by_main)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    for name in outputs:
+        got, want = ((d / name).read_bytes() for d in (by_run, by_main))
+        assert _TIMESTAMP.sub(b"", got) == _TIMESTAMP.sub(b"", want), name
+
+
+_VIA_RUN = "try:\n    cli.run()\nexcept SystemExit as exc:\n    code = exc.code"
+
+
+@pytest.mark.parametrize("entry, argv, want_code, frozen", [
+    (_VIA_RUN, ["maxcorr", "--preset", "noise-0.2"], 0, True),
+    (_VIA_RUN, ["estimate", "--bogus"], 2, True),  # main raised SystemExit
+    ("code = cli.main(sys.argv[1:])", ["maxcorr", "--preset", "noise-0.2"], 0, False),
+], ids=["run", "run-argparse-error", "main"])
+def test_only_run_freezes_the_heap(tmp_path, entry, argv, want_code, frozen):
+    code = (
+        f"import gc\nfrom ibonset import cli\nsys.argv = ['ibonset', *{argv!r}]\n{entry}\n"
+        "print(json.dumps([code, gc.get_freeze_count()]))"
+    )
+    got_code, count = _fresh_python(code, cwd=tmp_path)
+    assert got_code == want_code
+    assert (count > 0) == frozen, count
 
 
 def test_estimate_config_file_flags_override(tmp_path):
@@ -551,25 +631,30 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, message", [
     # printed the table and exited 0 with the option unread
-    ["--rates", "0.1"],
+    (["--rates", "0.1", "--beta-points", "-2"], "beta_points must be positive, got -2"),
     # trained a classifier for the first rate, then exited 1
-    ["--learned", "--sweep-column", "--rates", "0.1,0.2,0.3", "--samples", "4000"],
-], ids=["plain", "learned-sweep-column"])
+    (["--learned", "--sweep-column", "--rates", "0.1,0.2,0.3", "--samples", "4000",
+      "--beta-points", "-2"], "beta_points must be positive, got -2"),
+    # positive but too few for the sweep: also trained a classifier first
+    (["--learned", "--sweep-column", "--rates", "0.1,0.2", "--samples", "4000",
+      "--beta-points", "3"], "beta grid must be one-dimensional with >= 7 points"),
+], ids=["plain", "learned-sweep-column", "learned-sweep-column-3-points"])
 def test_table_negative_beta_points_exits_1_before_any_row(
-    tmp_path, capsys, monkeypatch, argv
+    tmp_path, capsys, monkeypatch, argv, message
 ):
-    from ibonset import cli
+    from ibonset import classifier, cli
 
     def no_row(*args, **kwargs):
         raise AssertionError("a table row was computed")
 
-    monkeypatch.setattr(cli, "_table_row", no_row)
+    for module, name in ((cli, "_table_row"), (classifier, "fit"), (solver, "solve")):
+        monkeypatch.setattr(module, name, no_row)
     monkeypatch.chdir(tmp_path)
-    assert main(["table", *argv, "--beta-points", "-2", "--out", "t.json"]) == 1
+    assert main(["table", *argv, "--out", "t.json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "beta_points must be positive, got -2" in captured.err
+    assert captured.out == "" and message in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
