@@ -262,7 +262,7 @@ def _read_csv_table(path) -> tuple[list[str] | None, np.ndarray]:
     if len({len(r) for r in rows}) > 1:
         raise ValidationError(f"{path}: ragged rows")
     try:
-        data = np.array([[float(v) for v in r] for r in body])
+        data = np.array(body, dtype=float)
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
     return header, data

@@ -297,21 +297,20 @@ def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> Subset
     return tables.result(pivot, lo, hi)
 
 
-def info_density_beta(cond: ConditionalMatrix, *, variant: str = "prefix") -> BetaEstimate:
+def info_density_beta(cond: ConditionalMatrix) -> BetaEstimate:
     """Information-density approximation of the threshold.
 
-    Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the same candidate
-    family as :func:`subset_search`.  Both numerator and denominator are
-    relaxations, so the result is a diagnostic, not a bound; it is flagged
-    ``diagnostic_only`` in the report.  Every command runs the prefix
-    search; ``variant`` goes with :func:`subset_search`'s.
+    Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the prefixes that
+    :func:`subset_search` searches by default.  Both numerator and
+    denominator are relaxations, so the result is a diagnostic, not a
+    bound; it is flagged ``diagnostic_only`` in the report.
     """
-    value, pivot, lo, hi, tables = _best_subset(cond, _info_density_ratio, variant)
+    value, pivot, lo, hi, tables = _best_subset(cond, _info_density_ratio, "prefix")
     return BetaEstimate(
         value=value,
         method=Method.INFO_DENSITY,
         subset=tables.result(pivot, lo, hi),
-        diagnostics={"diagnostic_only": True, "variant": variant},
+        diagnostics={"diagnostic_only": True, "variant": "prefix"},
     )
 
 

@@ -139,8 +139,10 @@ def info_plane(encoder, joint: DiscreteJoint) -> tuple[float, float]:
 
 
 def default_z_card(joint: DiscreteJoint) -> int:
-    """Representation cardinality used when none is given: min(|X|, 2|Y|)."""
-    return min(joint.shape[0], 2 * joint.shape[1])
+    """Representation cardinality used when none is given:
+    max(2, min(|X|, 2|Y|)), so that a one-row table still gets the two
+    clusters :func:`solve` needs."""
+    return max(2, min(joint.shape[0], 2 * joint.shape[1]))
 
 
 def solve(
@@ -437,21 +439,25 @@ def sweep(
 ) -> SweepResult:
     """Solve an ascending beta grid and detect the learnability onset.
 
-    Each beta is solved independently with its own derived seed, so the
-    result is identical whether points run serially or across ``workers``
-    processes; the pool never holds more processes than grid points or
-    CPUs, and 0 or 1 worker runs serially.  Every point is one call of the
-    module-level :func:`solve`, on the distinct rows of p(y|x) merged once
-    per table, so the pool does not pay: on 2 cores, the 25-point
-    ``noise-0.2`` sweep at seed 1, run end to end as a command, took a
-    median 0.46 s with two workers against 0.38 s serially, slower in 8 of
-    8 alternating runs.  No command sets ``workers``; it stays only for the
-    benchmark probes in ``bench/tracing.py`` that call it and goes once
-    they are retired.  ``warm_start`` instead anneals from the top of the
-    grid downward, feeding each solution as an extra initialization to the
-    next lower beta; this can change which local optimum is reached and is
-    off by default.  A non-positive or non-finite
-    beta or ``max_iters`` below 1 is rejected before any point is solved.
+    Every point is one call of the module-level :func:`solve` at its grid
+    beta with its own derived seed, on the distinct rows of p(y|x) merged
+    once per table.  One serial loop solves the grid: in ascending order
+    from the random restarts alone, or, with ``warm_start``, in descending
+    order with each point's encoder as an extra initialization
+    (``init_probs``) of the next lower beta.  That annealing can reach a
+    lower objective than the cold restarts, which can stay in a higher
+    local minimum; it is off by default.
+
+    Without ``warm_start`` the points are independent, so ``workers``
+    processes give the same result; the pool never holds more processes
+    than grid points or CPUs, and 0 or 1 worker runs serially.  It does not
+    pay: on 2 cores, the 25-point ``noise-0.2`` sweep at seed 1, run end to
+    end as a command, took a median 0.46 s with two workers against 0.38 s
+    serially, slower in 8 of 8 alternating runs.  No command sets
+    ``workers``; it stays only for the benchmark probes in
+    ``bench/tracing.py`` that call it and goes once they are retired.  A
+    non-positive or non-finite beta or ``max_iters`` below 1 is rejected
+    before any point is solved.
 
     ``protocol`` records the detection band, the solver settings, the
     points whose free energy rose (``non_monotone_betas``), the rows the
@@ -475,38 +481,28 @@ def sweep(
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(betas))
 
-    points: list[SweepPoint]
-    if warm_start:
-        points_rev = []
-        prev = None
-        for beta, child in zip(betas[::-1], children[::-1]):
-            enc = solve(
-                joint,
-                float(beta),
-                z_card,
-                seed=child,
-                max_iters=max_iters,
-                restarts=restarts,
-                init_probs=prev,
-            )
-            points_rev.append(_sweep_point(float(beta), enc))
-            prev = enc.probs
-        points = points_rev[::-1]
-    else:
+    # the fork start method launches every worker up front
+    workers = min(workers or 1, len(betas), os.cpu_count() or 1)
+    if workers > 1 and not warm_start:
+        # imported here so that the serial path never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [
             (joint, float(beta), z_card, child, max_iters, restarts)
             for beta, child in zip(betas, children)
         ]
-        # the fork start method launches every worker up front
-        workers = min(workers or 1, len(tasks), os.cpu_count() or 1)
-        if workers > 1:
-            # imported here so that the serial path never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(_sweep_task, tasks))
-        else:
-            points = [_sweep_task(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_sweep_task, tasks))
+    else:
+        points = [None] * len(betas)
+        prev = None
+        for i in reversed(range(len(betas))) if warm_start else range(len(betas)):
+            beta = float(betas[i])
+            enc = solve(joint, beta, z_card, seed=children[i], max_iters=max_iters,
+                        restarts=restarts, init_probs=prev)
+            points[i] = _sweep_point(beta, enc)
+            if warm_start:
+                prev = enc.probs
 
     detected, stats = detect_onset(betas, np.array([p.i_xz for p in points]))
     protocol = {

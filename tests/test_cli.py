@@ -578,6 +578,23 @@ def test_sweep_product_joint_warns_but_succeeds(tmp_path, capsys):
     assert "none" in capsys.readouterr().out
 
 
+def test_sweep_one_row_table_runs_at_the_default_z_card(tmp_path, capsys):
+    # one bin gives a one-row table, whose min(|X|, 2|Y|) is 1; the default
+    # used to fail with "z_card must be at least 2, got 1", about a flag
+    # that was never set
+    out_json = tmp_path / "s.json"
+    code = main([
+        "sweep", "--preset", "noise-0.2", "--bins", "1", "--beta-points", "7",
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "detected onset: none" in captured.out
+    doc = _read_json(out_json)["sweep"]
+    assert doc["protocol"]["z_card"] == 2 and doc["detected_beta0"] is None
+    assert all(p["objective"] == 0.0 for p in doc["points"])
+
+
 def test_sweep_non_convergence_exits_3(tmp_path):
     joint_path = tmp_path / "joint.csv"
     save_joint_csv(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), joint_path)

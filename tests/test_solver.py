@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import csv
+import dataclasses
 import math
 import os
 import pickle
@@ -261,6 +262,43 @@ def test_sweep_warm_start_smoke():
     assert result.detected_beta0 is not None
     assert 2.4 <= result.detected_beta0 <= 3.2
     assert result.protocol["warm_start"]
+
+
+def reference_warm_sweep_points(joint, grid, seed, restarts):
+    """Anneal down the grid: each point's encoder initializes the next
+    lower beta, every point keeps its own derived seed."""
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    points, prev = [], None
+    for beta, child in zip(grid[::-1], children[::-1]):
+        enc = solve(joint, float(beta), seed=child, restarts=restarts, init_probs=prev)
+        d = enc.diagnostics
+        points.append((float(beta), d["i_xz"], d["i_yz"], enc.objective, enc.converged,
+                       enc.iterations, d["restart"], d["max_objective_increase"]))
+        prev = enc.probs
+    return points[::-1]
+
+
+@pytest.mark.parametrize("joint", [
+    two_cluster_joint(0.2),
+    random_joint(np.random.default_rng(21), 6, 3),
+], ids=["two-cluster", "random"])
+def test_sweep_warm_start_is_bitwise_the_reference_loop(joint):
+    grid = np.geomspace(1.5, 6.0, 9)
+    result = sweep(joint, grid, seed=5, restarts=2, warm_start=True)
+    assert [dataclasses.astuple(p) for p in result.points] == reference_warm_sweep_points(
+        joint, grid, 5, 2)
+
+
+def test_sweep_cold_path_solves_without_init_probs(monkeypatch):
+    original, inits = solver.solve, []
+
+    def recorder(*args, **kwargs):
+        inits.append(kwargs.get("init_probs"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", recorder)
+    sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), seed=3, restarts=1)
+    assert len(inits) == 7 and all(init is None for init in inits)
 
 
 def test_detect_onset_floor_guards_zero_sigma():
