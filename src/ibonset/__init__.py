@@ -22,7 +22,7 @@ _EXPORTS = {
         "UninformativeSubsetError", "ValidationError",
     ),
     "estimators": (
-        "BetaEstimate", "Method", "SubsetResult", "beta_for_scores", "beta_for_subset",
+        "BetaEstimate", "Method", "beta_for_scores", "beta_for_subset", "certify",
         "class_conditional_beta", "info_density_beta", "max_correlation",
         "max_correlation_beta", "minimize_beta", "onset_correction", "subset_search",
     ),

@@ -229,21 +229,11 @@ def _cmd_gen(config) -> int:
     return _EXIT_OK
 
 
-def _subset(problem: _Problem, config) -> estimators.BetaEstimate:
-    res = estimators.subset_search(problem.cond)
-    return estimators.BetaEstimate(
-        value=res.beta0,
-        method=estimators.Method.SUBSET_SEARCH,
-        subset=res,
-        diagnostics={"variant": "prefix"},
-    )
-
-
 #: method name -> estimator of a problem under a config; None when the
 #: estimator does not apply to the input (the class-conditional closed form
 #: needs the noise table of a mixture spec or preset)
 _ESTIMATORS = {
-    "subset": _subset,
+    "subset": lambda problem, config: estimators.subset_search(problem.cond),
     "class-conditional": lambda problem, config: (
         None if problem.noise is None
         else estimators.class_conditional_beta(problem.noise, problem.prior)
@@ -295,8 +285,7 @@ def _cmd_estimate(config) -> int:
     width = max(len(r.method.value) for r in results)
     print(f"{'method'.ljust(width)}  beta0")
     for r in results:
-        note = "  (diagnostic, not a bound)" if r.diagnostics.get("diagnostic_only") else ""
-        print(f"{r.method.value.ljust(width)}  {r.value:.6f}{note}")
+        print(f"{r.method.value.ljust(width)}  {r.value:.6f}")
     _write_report(
         config.get("out"),
         {
@@ -397,7 +386,7 @@ def _table_row(rho: float, config) -> dict:
                 samples, classifier.TrainConfig(seed=config["seed"])
             )
             learned_cond = classifier.predict_proba(model, samples.points)
-            row["subset_learned_posterior"] = estimators.subset_search(learned_cond).beta0
+            row["subset_learned_posterior"] = estimators.subset_search(learned_cond).value
         except (IndependenceError, ValidationError):
             row["subset_learned_posterior"] = None
 

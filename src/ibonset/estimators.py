@@ -1,11 +1,13 @@
 """Estimators for the learnability threshold beta0 of a finite dataset.
 
-Four routes are provided, all upper bounds on (or exact values of) the
+Five routes are provided, all upper bounds on (or exact values of) the
 smallest trade-off coefficient at which the bottleneck objective prefers a
 non-trivial encoder:
 
 * ``subset_search``: sort examples by confidence toward a pivot class and
   scan contiguous subsets for the one minimizing the threshold ratio.
+* ``info_density_beta``: the same scan for the information-density ratio of
+  the subset conditional p(x|S).
 * ``class_conditional_beta``: closed form when label noise depends only on
   the true class.
 * ``beta_for_scores`` / ``minimize_beta``: the variance-ratio functional of
@@ -15,7 +17,9 @@ non-trivial encoder:
   table; its squared inverse equals the functional's infimum.
 
 All thresholds are computed from exact probability tables, never from
-information estimates, so they are deterministic given their inputs.
+information estimates, so they are deterministic given their inputs.  Each
+route returns a :class:`BetaEstimate` whose witness proves its value, and
+:func:`certify` recomputes the value from that witness.
 """
 
 from __future__ import annotations
@@ -61,65 +65,42 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SubsetResult:
-    """The threshold-minimizing subset of examples and its certified value.
-
-    ``member_indices`` are original example indices (sorted); the subset is
-    always non-empty and a strict subset of the dataset.  ``beta0`` is an
-    upper bound on the true threshold; it equals 1 exactly when the labels
-    are a deterministic function of the examples.  ``label_dist`` is the
-    subset's label distribution p(y | S), a read-only array.
-    """
-
-    beta0: float
-    pivot_class: int
-    member_indices: tuple[int, ...]
-    mass: float
-    label_dist: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "label_dist", _freeze(np.array(self.label_dist, dtype=float)))
-        if not math.isfinite(self.beta0) or self.beta0 < 1.0 - _BETA_SLACK:
-            raise ValidationError(f"threshold {self.beta0!r} below 1")
-        if not self.member_indices:
-            raise ValidationError("subset is empty")
-        if not 0.0 < self.mass < 1.0:
-            raise ValidationError(f"subset mass {self.mass!r} not in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "pivot_class": self.pivot_class,
-            "member_indices": list(self.member_indices),
-            "mass": self.mass,
-            "label_dist": self.label_dist.tolist(),
-        }
-
-
-@dataclass(frozen=True)
 class BetaEstimate:
-    """A threshold value with its method tag and diagnostics."""
+    """A threshold value, the method that produced it, and its witness.
+
+    Every method's value is an upper bound on beta0, finite and at least 1,
+    proved by ``witness``: a vector with one entry per row of the table the
+    method ran on.  For ``info_density`` it holds the weights t of a tilted
+    input distribution r(x) = p(x) t(x) / sum_x' p(x') t(x'), whose ratio
+    D(r || p(x)) / D(rK || p(y)) (K = p(y|x)) is the value; data processing
+    keeps that ratio at least 1.  For every other method it is a score
+    vector whose :func:`beta_for_scores` ratio is the value.  A 0/1 witness
+    is the indicator of a subset S of rows; as a tilt it gives
+    r = p(x | S).  :func:`certify` recomputes the value from the witness.
+    """
 
     value: float
     method: Method
-    subset: SubsetResult | None = None
-    scores: np.ndarray | None = None
+    witness: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method is not Method.INFO_DENSITY and self.value < 1.0 - _BETA_SLACK:
+        if not math.isfinite(self.value) or self.value < 1.0 - _BETA_SLACK:
             raise ValidationError(
-                f"{self.method.value} produced threshold {self.value!r} below 1"
+                f"{self.method.value} produced threshold {self.value!r}, "
+                "not a finite value of at least 1"
             )
-        if self.scores is not None:
-            object.__setattr__(self, "scores", _freeze(np.array(self.scores, dtype=float)))
+        object.__setattr__(self, "witness", _freeze(np.array(self.witness, dtype=float)))
 
     def to_dict(self) -> dict:
+        """The report entry; a 0/1 witness is written as the indices of its
+        1 entries, ``{"members": [...]}``, any other as its list of values."""
+        w = self.witness
+        indicator = bool(np.all((w == 0.0) | (w == 1.0)))
         return {
             "method": self.method.value,
             "value": self.value,
-            "subset": self.subset.to_dict() if self.subset else None,
-            "scores": self.scores.tolist() if self.scores is not None else None,
+            "witness": {"members": np.flatnonzero(w).tolist()} if indicator else w.tolist(),
             "diagnostics": dict(self.diagnostics),
         }
 
@@ -154,9 +135,12 @@ def beta_for_subset(cond: ConditionalMatrix, members) -> float:
     Raises :class:`UninformativeSubsetError` when the subset's label
     distribution matches the marginal (the ratio diverges there).
     """
-    idx = np.asarray(members, dtype=int)
+    idx = np.asarray(members)
     if idx.size == 0:
         raise ValidationError("subset is empty")
+    # a cast would read 2.9 as row 2 and a boolean mask as rows 0 and 1
+    if idx.dtype.kind not in "iu":
+        raise ValidationError(f"subset members must be integer indices, got {idx.dtype}")
     if idx.min() < 0 or idx.max() >= cond.num_examples:
         raise ValidationError("subset index out of range")
     if len(np.unique(idx)) != idx.size:
@@ -208,17 +192,6 @@ class _PrefixTables:
         i = int(np.argmin(values))
         return float(values[i]), int(lo[i]), int(hi[i])
 
-    def result(self, pivot: int, lo: int, hi: int) -> SubsetResult:
-        mass, q = self.stats(lo, hi)
-        return SubsetResult(
-            beta0=float(_beta_ratio(mass, q, self.p_y)),
-            pivot_class=pivot,
-            member_indices=tuple(sorted(self.order[lo - 1:hi].tolist())),
-            mass=float(mass),
-            # the cumulative-sum differences sum to 1 only up to roundoff
-            label_dist=q / q.sum(),
-        )
-
 
 def _pivot_order(rows: np.ndarray, pivot: int) -> np.ndarray:
     # stable sort keeps original index order among ties
@@ -251,9 +224,10 @@ def _search_pivot(tables: _PrefixTables, objective, variant: str):
             return best
 
 
-def _best_subset(cond: ConditionalMatrix, objective, variant: str):
+def _best_subset(cond: ConditionalMatrix, objective, method: Method,
+                 variant: str) -> BetaEstimate:
     """Minimum of ``objective`` over the candidates of every pivot order,
-    as (value, pivot, lo, hi, tables)."""
+    witnessed by the indicator of the minimizing range."""
     if variant not in ("prefix", "range"):
         raise ValidationError(f"unknown search variant {variant!r}")
     if cond.num_examples < 2 or cond.num_classes < 2:
@@ -271,10 +245,20 @@ def _best_subset(cond: ConditionalMatrix, objective, variant: str):
             "every candidate subset has the marginal label distribution; "
             "X and Y are independent"
         )
-    return best
+    value, pivot, lo, hi, tables = best
+    mass, q = tables.stats(lo, hi)
+    members = np.zeros(cond.num_examples)
+    members[tables.order[lo - 1:hi]] = 1.0
+    return BetaEstimate(value, method, members, diagnostics={
+        "variant": variant,
+        "pivot_class": pivot,
+        "mass": float(mass),
+        # the cumulative-sum differences sum to 1 only up to roundoff
+        "label_dist": (q / q.sum()).tolist(),
+    })
 
 
-def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> SubsetResult:
+def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> BetaEstimate:
     """Find the contiguous subset minimizing the threshold ratio.
 
     For each pivot class the rows are sorted by that class's probability in
@@ -285,33 +269,26 @@ def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> Subset
     ``_RANGE_SCAN_LIMIT`` and by coordinate descent with exact steps from
     the best prefix beyond, a local search that missed the exhaustive
     minimum by up to 23% in forced small-N tests.  The minimum over pivot
-    classes is returned.  The result is an upper bound on the true
-    threshold.  Every command runs the prefix search; ``variant`` stays
-    only for the benchmark probes in ``bench/tracing.py`` that call it and
-    goes once they are retired.
+    classes is returned, witnessed by the subset's indicator.  The result
+    is an upper bound on the true threshold.  Every command runs the prefix
+    search; ``variant`` stays only for the benchmark probes in
+    ``bench/tracing.py`` that call it and goes once they are retired.
 
     Raises :class:`IndependenceError` when no candidate subset carries any
     label information.
     """
-    _, pivot, lo, hi, tables = _best_subset(cond, _beta_ratio, variant)
-    return tables.result(pivot, lo, hi)
+    return _best_subset(cond, _beta_ratio, Method.SUBSET_SEARCH, variant)
 
 
 def info_density_beta(cond: ConditionalMatrix) -> BetaEstimate:
-    """Information-density approximation of the threshold.
+    """Information-density threshold of the best subset conditional.
 
     Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the prefixes that
-    :func:`subset_search` searches by default.  Both numerator and
-    denominator are relaxations, so the result is a diagnostic, not a
-    bound; it is flagged ``diagnostic_only`` in the report.
+    :func:`subset_search` searches by default.  That ratio is
+    D(r || p(x)) / D(rK || p(y)) for the tilt r = p(x | S), which bounds the
+    global threshold from above; the witness is the subset's indicator.
     """
-    value, pivot, lo, hi, tables = _best_subset(cond, _info_density_ratio, "prefix")
-    return BetaEstimate(
-        value=value,
-        method=Method.INFO_DENSITY,
-        subset=tables.result(pivot, lo, hi),
-        diagnostics={"diagnostic_only": True, "variant": "prefix"},
-    )
+    return _best_subset(cond, _info_density_ratio, Method.INFO_DENSITY, "prefix")
 
 
 def class_conditional_beta(noise, prior=None) -> BetaEstimate:
@@ -319,7 +296,9 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
 
     ``noise`` is the row-stochastic confusion table p(observed | true) and
     ``prior`` an array of true-class probabilities (uniform by default).
-    Returns the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1).
+    Returns the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1),
+    witnessed by the indicator of the minimizing class c on the compact
+    table ``ConditionalMatrix(noise, prior)``.
     """
     table = ConditionalMatrix(np.asarray(noise, dtype=float), prior)
     if table.p_y.min() <= 0.0:
@@ -334,6 +313,7 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     return BetaEstimate(
         value=value,
         method=Method.CLASS_CONDITIONAL,
+        witness=np.arange(len(per_class)) == pivot,
         diagnostics={
             "pivot_true_class": pivot,
             "per_class": [v if math.isfinite(v) else None for v in per_class],
@@ -420,7 +400,7 @@ def max_correlation_beta(joint: DiscreteJoint) -> BetaEstimate:
     return BetaEstimate(
         value=1.0 / (rho * rho),
         method=Method.MAX_CORRELATION_INVERSE,
-        scores=scores,
+        witness=scores,
         diagnostics={"rho_m": rho, "top_singular_value": top},
     )
 
@@ -451,6 +431,8 @@ def minimize_beta(
     """
     if joint.shape[0] < 2:
         raise ValidationError("need at least two x values to define a direction")
+    if iters < 0:
+        raise ValidationError(f"iters must be non-negative, got {iters}")
     p_x, p_y = joint.p_x, joint.p_y
     # the quadratic form h M h with M[x,x'] = sum_y p(x,y)p(x',y)/p(y) is
     # what the centered unit-variance ratio inverts; M is kept factored so
@@ -480,6 +462,8 @@ def minimize_beta(
         h = np.asarray(init_scores, dtype=float).copy()
         if h.shape != p_x.shape:
             raise ValidationError("init_scores length does not match joint rows")
+        if not np.all(np.isfinite(h)):
+            raise ValidationError("init_scores contain non-finite entries")
     else:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(len(p_x))
@@ -514,9 +498,34 @@ def minimize_beta(
     return BetaEstimate(
         value=1.0 / best_gain,
         method=Method.FUNCTIONAL,
-        scores=best_h,
+        witness=best_h,
         diagnostics=diagnostics,
     )
+
+
+def certify(joint: DiscreteJoint, estimate: BetaEstimate) -> float:
+    """Recompute ``estimate.value`` from its witness (see
+    :class:`BetaEstimate`) on ``joint``, the joint table of the rows the
+    estimator ran on (``joint_from_conditional`` of a conditional input).
+
+    Raises :class:`ValidationError` for a witness that does not fit the
+    table and :class:`InvalidDirectionError` for one that proves nothing.
+    """
+    t = estimate.witness
+    if estimate.method is not Method.INFO_DENSITY:
+        return beta_for_scores(joint, t)
+    if t.shape != joint.p_x.shape:
+        raise ValidationError("witness length does not match joint rows")
+    if not (np.all(np.isfinite(t)) and t.min() >= 0.0 and t.max() > 0.0):
+        raise ValidationError("tilt weights must be finite, non-negative and not all zero")
+    mass = float(joint.p_x @ t)
+    r_y = t @ joint.probs
+    # the KL of two close distributions magnifies any roundoff in their
+    # totals (p_y sums the joint row by row), so each is scaled to sum 1
+    den = float(rel_entr(r_y / r_y.sum(), joint.p_y / joint.p_y.sum()).sum())
+    if den <= DENOM_TOL:
+        raise InvalidDirectionError("the tilt leaves the label distribution unchanged")
+    return float(rel_entr(joint.p_x * t / mass, joint.p_x).sum()) / den
 
 
 def onset_correction(joint: DiscreteJoint, scores) -> np.ndarray:

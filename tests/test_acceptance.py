@@ -91,7 +91,7 @@ def test_criterion_2_estimator_agreement():
         counts = np.bincount(samples.true_labels, minlength=len(priors))
         weights = priors[samples.true_labels] / counts[samples.true_labels]
         cond = ConditionalMatrix(posterior.rows, weights)
-        searched = subset_search(cond).beta0
+        searched = subset_search(cond).value
         closed = class_conditional_beta(spec.noise, priors).value
         elapsed = time.perf_counter() - start
         rel = abs(searched - closed) / closed
@@ -125,7 +125,7 @@ def test_criterion_3_functional_equals_svd_inverse():
 def test_criterion_4_empirical_phase_transition():
     start = time.perf_counter()
     joint = discretize(noise_preset(0.2))
-    theoretical = subset_search(conditional_from_joint(joint)).beta0
+    theoretical = subset_search(conditional_from_joint(joint)).value
     result = sweep(joint, np.geomspace(1.5, 4.5, 25), seed=0)
     elapsed = time.perf_counter() - start
     detected = result.detected_beta0
@@ -147,7 +147,7 @@ def test_criterion_4_empirical_phase_transition():
 def test_criterion_5_deterministic_threshold():
     start = time.perf_counter()
     joint = discretize(noise_preset(0.0))
-    bound = subset_search(conditional_from_joint(joint)).beta0
+    bound = subset_search(conditional_from_joint(joint)).value
     result = sweep(joint, np.geomspace(0.82, 1.45, 25), seed=0)
     elapsed = time.perf_counter() - start
     detected = result.detected_beta0
@@ -170,7 +170,7 @@ def test_criterion_6_overlap_monotonicity():
     values = []
     for distance in (8.0, 3.2, 1.6, 0.8):
         joint = discretize(overlap_preset(distance))
-        values.append(subset_search(conditional_from_joint(joint)).beta0)
+        values.append(subset_search(conditional_from_joint(joint)).value)
     elapsed = time.perf_counter() - start
     increasing = all(a < b for a, b in zip(values, values[1:]))
     _check(
@@ -215,8 +215,8 @@ def test_criterion_7_property_suites():
         py = rng.permutation(joint.shape[1])
         pj = DiscreteJoint(joint.probs[px][:, py])
         pc = conditional_from_joint(pj)
-        assert subset_search(pc).beta0 == pytest.approx(
-            subset_search(cond).beta0, rel=1e-10
+        assert subset_search(pc).value == pytest.approx(
+            subset_search(cond).value, rel=1e-10
         )
         assert max_correlation(pj) == pytest.approx(max_correlation(joint), abs=1e-10)
         assert info_density_beta(pc).value == pytest.approx(
@@ -239,7 +239,7 @@ def test_criterion_7_property_suites():
         rho = max_correlation(joint)
         if rho < 1e-3:
             continue
-        assert subset_search(cond).beta0 > 1.0
+        assert subset_search(cond).value > 1.0
         assert minimize_beta(joint, seed=1).value > 1.0
         assert 1.0 / rho**2 > 1.0
     _check("criterion 7d (thresholds exceed 1 on dependent data)", True, "strict")
@@ -286,7 +286,7 @@ def test_criterion_7_property_suites():
         cond = random_cond(rng, int(rng.integers(2, 13)), int(rng.integers(2, 4)))
         expected = enumerate_prefixes(cond)
         if math.isfinite(expected):
-            assert subset_search(cond).beta0 == pytest.approx(expected, rel=1e-12)
+            assert subset_search(cond).value == pytest.approx(expected, rel=1e-12)
             checked += 1
     assert checked >= 15
     _check("criterion 7h (exhaustive prefix oracle, N <= 12)", True,
@@ -318,7 +318,7 @@ def test_criterion_8_learned_posterior_pipeline():
     samples = sample(noise_preset(0.2), 10_000, seed=3)
     model = fit(samples, TrainConfig(seed=0))
     learned = predict_proba(model, samples.points)
-    value = subset_search(learned).beta0
+    value = subset_search(learned).value
     elapsed = time.perf_counter() - start
     rel = abs(value - TWO_CLUSTER_BETA) / TWO_CLUSTER_BETA
     _check(

@@ -76,18 +76,35 @@ def test_workload_commands_parse(workloads, tmp_path):
             assert unknown == [], f"{workload}: {command.name}"
 
 
-def test_quick_workload_passes_its_checks_through_the_module_entry_point(workloads, tmp_path):
+def _passes_checks_through_the_module_entry_point(workloads, tmp_path, workload, subcommand=None):
     # as the benchmark runs them: a fresh `python -m ibonset.cli` per command,
     # so an exit path that lost or truncated a report fails its check here
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    inputs = workloads.make_inputs("cli-quick", 1, tmp_path)
-    for command in workloads.commands("cli-quick", 1, tmp_path, inputs):
+    inputs = workloads.make_inputs(workload, 1, tmp_path)
+    ran = 0
+    for command in workloads.commands(workload, 1, tmp_path, inputs):
+        if subcommand not in (None, command.argv[0]):
+            continue
+        ran += 1
         proc = subprocess.run([sys.executable, "-m", "ibonset.cli", *command.argv],
                               env=env, cwd=tmp_path, capture_output=True, text=True)
         assert proc.returncode == 0, f"{command.name}: {proc.stderr}"
         _, failure = command.verify()
         assert failure == "", f"{command.name}: {failure}"
+    return ran
+
+
+def test_quick_workload_passes_its_checks_through_the_module_entry_point(workloads, tmp_path):
+    _passes_checks_through_the_module_entry_point(workloads, tmp_path, "cli-quick")
+
+
+def test_estimate_workload_estimates_pass_their_checks_through_the_module_entry_point(
+        workloads, tmp_path):
+    # the 6000-sample and 3000x4 reports, whose estimate entries the
+    # benchmark reads by method and value
+    assert _passes_checks_through_the_module_entry_point(
+        workloads, tmp_path, "estimate", "estimate") == 2
 
 
 @pytest.mark.parametrize("module, name, argv", [

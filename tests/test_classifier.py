@@ -290,5 +290,5 @@ def test_learned_posterior_pipeline_recovers_threshold():
     samples = sample(noise_preset(0.2), 10_000, seed=3)
     model = fit(samples, TrainConfig(seed=0))
     learned = predict_proba(model, samples.points)
-    value = subset_search(learned).beta0
+    value = subset_search(learned).value
     assert value == pytest.approx(TWO_CLUSTER_BETA, rel=0.15)

@@ -199,6 +199,26 @@ def test_readme_flags_are_options_of_some_command():
     assert sorted(flags - options - {"--config"}) == []
 
 
+def test_readme_library_quickstart_runs_and_prints_its_comments():
+    # the quickstart once read a field that the estimators no longer had
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library quickstart\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    # a line `expression  # 2.7778` states the expression's value to its
+    # last printed digit, `# ~2.78` to within one unit of it
+    checked = 0
+    for line in block.splitlines():
+        match = re.fullmatch(r"([^=#]+?)\s+# (~?)(\d+\.(\d+))\b.*", line)
+        if match:
+            expr, approx, number, digits = match.groups()
+            tol = 10.0 ** -len(digits) * (1.0 if approx else 0.5)
+            assert eval(expr, namespace) == pytest.approx(float(number), abs=tol), line
+            checked += 1
+    assert checked >= 5
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_estimate_method_list_empty_or_repeated(tmp_path, capsys, via):
     def run(method):
@@ -288,14 +308,13 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv, loaded):
     assert _loaded_after(code, cwd=tmp_path) == loaded
 
 
-#: what ``from ibonset import *`` bound when the package imported every
-#: submodule but solver eagerly, less ``importlib``, which it imported for
-#: its own use
+#: what ``from ibonset import *`` binds: the public names of every
+#: submodule but solver, and those submodules
 _STAR_NAMES = [
     "BetaEstimate", "ConditionalMatrix", "DiscreteJoint", "IndependenceError",
     "InvalidDirectionError", "Method", "MixtureSpec", "OnsetError", "SampleSet",
-    "SubsetResult", "UninformativeSubsetError", "ValidationError",
-    "analytic_posterior", "beta_for_scores", "beta_for_subset",
+    "UninformativeSubsetError", "ValidationError",
+    "analytic_posterior", "beta_for_scores", "beta_for_subset", "certify",
     "class_conditional_beta", "conditional_from_joint", "discretize", "dist",
     "entropy", "errors", "estimators", "get_preset", "info_density_beta",
     "joint_from_conditional", "load_conditional_csv", "load_joint_csv",
@@ -805,7 +824,7 @@ def test_round_trip_preserves_estimates(tmp_path):
     cond = ConditionalMatrix(rows, weights)
     from ibonset import subset_search
 
-    direct = subset_search(cond).beta0
+    direct = subset_search(cond).value
     path = tmp_path / "cond.csv"
     save_conditional_csv(cond, path)
     out = tmp_path / "report.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ibonset import (
+    BetaEstimate,
     ConditionalMatrix,
     DiscreteJoint,
     IndependenceError,
@@ -14,8 +15,11 @@ from ibonset import (
     analytic_posterior,
     beta_for_scores,
     beta_for_subset,
+    certify,
     class_conditional_beta,
     conditional_from_joint,
+    discretize,
+    get_preset,
     info_density_beta,
     joint_from_conditional,
     max_correlation,
@@ -123,6 +127,13 @@ def test_subset_beta_whole_set_uninformative():
         beta_for_subset(cond, list(range(cond.num_examples)))
 
 
+@pytest.mark.parametrize("members", [[0.7, 2.9], [True, False, True] + [False] * 5])
+def test_subset_beta_rejects_non_integer_members(members):
+    # a cast read [0.7, 2.9] as rows 0 and 2, and a mask as rows 0 and 1
+    with pytest.raises(ValidationError, match="integer indices"):
+        beta_for_subset(two_cluster_cond(0.2), members)
+
+
 def test_subset_beta_matches_oracle_on_random_subsets(rng):
     for _ in range(30):
         cond = random_cond(rng, int(rng.integers(3, 10)), int(rng.integers(2, 5)))
@@ -135,18 +146,18 @@ def test_subset_beta_matches_oracle_on_random_subsets(rng):
 
 def test_subset_search_two_cluster():
     result = subset_search(two_cluster_cond(0.2))
-    assert result.beta0 == pytest.approx(TWO_CLUSTER_BETA, rel=1e-12)
+    assert result.value == pytest.approx(TWO_CLUSTER_BETA, rel=1e-12)
     # the conspicuous subset is one full cluster
-    assert result.member_indices in ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert result.mass == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(sorted(result.label_dist), [0.2, 0.8], atol=1e-12)
+    assert tuple(np.flatnonzero(result.witness)) in ((0, 1, 2, 3), (4, 5, 6, 7))
+    assert result.diagnostics["mass"] == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(sorted(result.diagnostics["label_dist"]), [0.2, 0.8], atol=1e-12)
     with pytest.raises(ValueError):
-        result.label_dist[0] = 0.5
+        result.witness[0] = 0.5
 
 
 def test_subset_search_deterministic_is_one():
     cond = ConditionalMatrix([[1, 0], [1, 0], [0, 1], [0, 1]])
-    assert subset_search(cond).beta0 == pytest.approx(1.0, abs=1e-9)
+    assert subset_search(cond).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_subset_search_identical_rows_independent():
@@ -179,17 +190,17 @@ def test_subset_search_matches_exhaustive_prefix_oracle(rng):
         if not math.isfinite(expected):
             continue
         result = subset_search(cond, variant="prefix")
-        assert result.beta0 == pytest.approx(expected, rel=1e-12)
+        assert result.value == pytest.approx(expected, rel=1e-12)
         # the reported subset really achieves the reported value
-        direct = beta_for_subset(cond, list(result.member_indices))
-        assert direct == pytest.approx(result.beta0, rel=1e-12)
+        direct = beta_for_subset(cond, np.flatnonzero(result.witness))
+        assert direct == pytest.approx(result.value, rel=1e-12)
 
 
 def test_subset_search_range_variant_at_least_as_tight(rng):
     for _ in range(15):
         cond = random_cond(rng, int(rng.integers(4, 12)), 3)
-        prefix = subset_search(cond, variant="prefix").beta0
-        ranged = subset_search(cond, variant="range").beta0
+        prefix = subset_search(cond, variant="prefix").value
+        ranged = subset_search(cond, variant="range").value
         assert ranged <= prefix + 1e-12
 
 
@@ -199,9 +210,9 @@ def test_subset_search_range_matches_exhaustive_range_oracle(rng):
         expected = oracle_enumerate_ranges(cond)
         if math.isfinite(expected):
             result = subset_search(cond, variant="range")
-            assert result.beta0 == pytest.approx(expected, rel=1e-12)
-            direct = beta_for_subset(cond, list(result.member_indices))
-            assert direct == pytest.approx(result.beta0, rel=1e-12)
+            assert result.value == pytest.approx(expected, rel=1e-12)
+            direct = beta_for_subset(cond, np.flatnonzero(result.witness))
+            assert direct == pytest.approx(result.value, rel=1e-12)
 
 
 def test_subset_search_range_variant_large_input_consistent(rng):
@@ -210,10 +221,10 @@ def test_subset_search_range_variant_large_input_consistent(rng):
     for trial in range(5):
         cond = random_cond(rng, 1000, 3)
         result = subset_search(cond, variant="range")
-        direct = beta_for_subset(cond, list(result.member_indices))
-        assert direct == pytest.approx(result.beta0, rel=1e-12)
-        prefix = subset_search(cond, variant="prefix").beta0
-        assert result.beta0 <= prefix + 1e-12
+        direct = beta_for_subset(cond, np.flatnonzero(result.witness))
+        assert direct == pytest.approx(result.value, rel=1e-12)
+        prefix = subset_search(cond, variant="prefix").value
+        assert result.value <= prefix + 1e-12
 
 
 def test_subset_search_excludes_full_set_at_large_n():
@@ -222,8 +233,8 @@ def test_subset_search_excludes_full_set_at_large_n():
     spec = noise_preset(0.2)
     cond = analytic_posterior(spec, sample(spec, 100_000, seed=0).points)
     result = subset_search(cond)
-    assert len(result.member_indices) < cond.num_examples
-    assert result.beta0 == pytest.approx(TWO_CLUSTER_BETA, rel=1e-3)
+    assert np.count_nonzero(result.witness) < cond.num_examples
+    assert result.value == pytest.approx(TWO_CLUSTER_BETA, rel=1e-3)
 
 
 def test_subset_search_handles_large_inputs(rng):
@@ -235,7 +246,7 @@ def test_subset_search_handles_large_inputs(rng):
     jitter = rng.normal(0.0, 0.002, size=(n, 1))
     rows = np.clip(base + jitter * [1, -1], 1e-6, None)
     rows /= rows.sum(axis=1, keepdims=True)
-    value = subset_search(ConditionalMatrix(rows)).beta0
+    value = subset_search(ConditionalMatrix(rows)).value
     assert value == pytest.approx(TWO_CLUSTER_BETA, rel=0.02)
 
 
@@ -283,7 +294,7 @@ def test_class_conditional_agreement_with_subset_search(rng):
             weights = np.concatenate(
                 [np.full(reps[k], prior[k] / reps[k]) for k in (0, 1)]
             )
-            searched = subset_search(ConditionalMatrix(rows, weights)).beta0
+            searched = subset_search(ConditionalMatrix(rows, weights)).value
             closed = class_conditional_beta(noise, prior).value
             assert searched == pytest.approx(closed, rel=1e-9)
 
@@ -339,7 +350,7 @@ def test_minimize_beta_two_cluster():
     assert est.value == pytest.approx(TWO_CLUSTER_BETA, abs=1e-6)
     assert est.method is Method.FUNCTIONAL
     assert est.diagnostics["converged"]
-    assert est.scores is not None and est.scores.std() > 0
+    assert est.witness.std() > 0
 
 
 def test_minimize_beta_deterministic_is_one():
@@ -365,7 +376,20 @@ def test_minimize_beta_scores_belong_to_value():
     joint = DiscreteJoint([[0.3, 0.1], [0.1, 0.2], [0.05, 0.25]])
     est = minimize_beta(joint, iters=10, seed=1)
     assert not est.diagnostics["converged"]
-    assert beta_for_scores(joint, est.scores) == pytest.approx(est.value, rel=1e-12)
+    assert beta_for_scores(joint, est.witness) == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_minimize_beta_rejects_non_finite_init_scores(bad):
+    # a NaN start once ran every iteration and returned a NaN threshold
+    joint = DiscreteJoint(np.full((4, 2), 0.125))
+    with pytest.raises(ValidationError, match="non-finite"):
+        minimize_beta(joint, init_scores=[bad, 1.0, 2.0, 3.0])
+
+
+def test_minimize_beta_rejects_negative_iters():
+    with pytest.raises(ValidationError, match="iters"):
+        minimize_beta(two_cluster_joint(0.2), iters=-5)
 
 
 def test_minimize_beta_non_convergence_warns():
@@ -401,7 +425,7 @@ def test_minimize_beta_svd_scores_are_a_fixed_point(rng):
         c = int(rng.integers(2, 6))
         joint = DiscreteJoint(rng.dirichlet(np.ones(n * c)).reshape(n, c))
         exact = max_correlation_beta(joint)
-        est = minimize_beta(joint, init_scores=exact.scores)
+        est = minimize_beta(joint, init_scores=exact.witness)
         assert est.diagnostics["converged"]
         assert est.diagnostics["iterations"] == 50 + 1  # conv_window + 1
         assert est.value == pytest.approx(exact.value, rel=1e-12)
@@ -451,15 +475,15 @@ def test_max_correlation_beta_independent():
 
 
 # ---------------------------------------------------------------------------
-# information-density diagnostic
+# information density
 # ---------------------------------------------------------------------------
 
 def test_info_density_deterministic_balanced_is_one():
     cond = ConditionalMatrix([[1, 0], [1, 0], [0, 1], [0, 1]])
     est = info_density_beta(cond)
     assert est.value == pytest.approx(1.0, rel=1e-12)
-    assert est.diagnostics["diagnostic_only"] is True
     assert est.method is Method.INFO_DENSITY
+    assert tuple(np.flatnonzero(est.witness)) in ((0, 1), (2, 3))
 
 
 def test_info_density_independent_rows():
@@ -547,7 +571,7 @@ def test_ordering_chain(rng):
         rho = max_correlation(joint)
         if rho < 1e-6:
             continue
-        searched = subset_search(cond).beta0
+        searched = subset_search(cond).value
         minimized = minimize_beta(joint, seed=int(rng.integers(1 << 30))).value
         assert minimized == pytest.approx(1.0 / rho**2, abs=1e-6)
         assert searched >= minimized - 1e-6
@@ -563,8 +587,8 @@ def test_permutation_invariance_of_all_estimators(rng):
         permuted_joint = DiscreteJoint(joint.probs[px][:, py])
         permuted_cond = conditional_from_joint(permuted_joint)
 
-        assert subset_search(permuted_cond).beta0 == pytest.approx(
-            subset_search(cond).beta0, rel=1e-10
+        assert subset_search(permuted_cond).value == pytest.approx(
+            subset_search(cond).value, rel=1e-10
         )
         assert max_correlation(permuted_joint) == pytest.approx(
             max_correlation(joint), abs=1e-10
@@ -598,6 +622,75 @@ def test_estimates_exceed_one_on_dependent_noisy_joints(rng):
         rho = max_correlation(joint)
         if rho < 1e-3:
             continue
-        assert subset_search(cond).beta0 > 1.0
+        assert subset_search(cond).value > 1.0
         assert 1.0 / rho**2 > 1.0
         assert minimize_beta(joint, seed=3).value > 1.0
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_beta_estimate_rejects_non_finite_value(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        BetaEstimate(value=bad, method=Method.FUNCTIONAL, witness=[0.0, 1.0])
+
+
+def test_beta_estimate_writes_a_0_1_witness_as_its_members():
+    est = subset_search(two_cluster_cond(0.2))
+    assert est.to_dict()["witness"] == {"members": np.flatnonzero(est.witness).tolist()}
+    scores = max_correlation_beta(two_cluster_joint(0.2))
+    assert scores.to_dict()["witness"] == scores.witness.tolist()
+
+
+def _assert_routes_certified(cond, noise=None, prior=None):
+    """certify reproduces the value of every route on the table it ran on."""
+    joint = joint_from_conditional(cond)
+    checks = [(joint, est) for est in (
+        subset_search(cond),
+        subset_search(cond, variant="range"),
+        info_density_beta(cond),
+        minimize_beta(joint),
+        max_correlation_beta(joint),
+    )]
+    if noise is not None:
+        compact = joint_from_conditional(ConditionalMatrix(noise, prior))
+        checks.append((compact, class_conditional_beta(noise, prior)))
+    for table, est in checks:
+        assert certify(table, est) == pytest.approx(est.value, rel=1e-12), est.method
+
+
+@pytest.mark.parametrize("name", ["noise-0.1", "noise-0.2", "noise-0.3", "noise-0.4",
+                                  "overlap-1.2", "overlap-2.0", "overlap-3.2"])
+def test_certify_reproduces_every_route_on_binned_presets(name):
+    spec = get_preset(name)
+    noise = spec.noise
+    _assert_routes_certified(conditional_from_joint(discretize(spec)), noise,
+                             None if noise is None else spec.class_priors())
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.4])
+def test_certify_reproduces_every_route_on_sampled_posteriors(rate):
+    spec = noise_preset(rate)
+    _assert_routes_certified(analytic_posterior(spec, sample(spec, 6000, seed=0).points),
+                             spec.noise, spec.class_priors())
+
+
+def test_certify_reproduces_every_route_on_random_tables(rng):
+    for _ in range(60):
+        n, c = int(rng.integers(2, 200)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(c) * rng.choice([0.3, 1.0, 3.0]), size=n)
+        weights = rng.gamma(2.0, size=n)
+        _assert_routes_certified(ConditionalMatrix(rows, weights / weights.sum()))
+
+
+def test_certify_rejects_a_witness_that_does_not_fit():
+    joint = two_cluster_joint(0.2)
+    est = info_density_beta(conditional_from_joint(joint))
+    for witness in ([1.0], [-1.0, 1.0], [0.0, 0.0], [math.nan, 1.0]):
+        bad = BetaEstimate(est.value, est.method, witness)
+        with pytest.raises(ValidationError):
+            certify(joint, bad)
+    with pytest.raises(InvalidDirectionError):
+        certify(joint, BetaEstimate(est.value, est.method, [1.0, 1.0]))

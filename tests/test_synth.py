@@ -302,7 +302,7 @@ def test_closed_form_closure_through_discretization():
     # closed-form threshold
     for rho in (0.1, 0.2, 0.3, 0.4):
         joint = discretize(noise_preset(rho))
-        searched = subset_search(conditional_from_joint(joint)).beta0
+        searched = subset_search(conditional_from_joint(joint)).value
         assert searched == pytest.approx(1.0 / (1.0 - 2.0 * rho) ** 2, rel=0.01)
 
 
@@ -310,7 +310,7 @@ def test_overlap_monotonicity():
     values = []
     for distance in (8.0, 3.2, 1.6, 0.8):
         joint = discretize(overlap_preset(distance))
-        values.append(subset_search(conditional_from_joint(joint)).beta0)
+        values.append(subset_search(conditional_from_joint(joint)).value)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(1.0, abs=1e-3)
 
