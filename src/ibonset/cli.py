@@ -332,7 +332,10 @@ def _cmd_sweep(config) -> int:
             f"beta={p.beta:9.4f}  I(X;Z)={p.i_xz:12.6e}  I(Y;Z)={p.i_yz:12.6e}"
             f"  obj={p.objective:12.6e}{flag}"
         )
-    if result.detected_beta0 is None:
+    if result.protocol["onset_below_grid"]:
+        lowest = result.points[0].beta
+        print(f"detected onset: below the grid (beta={lowest:.4f} already learns)")
+    elif result.detected_beta0 is None:
         print("detected onset: none (no grid point escaped the baseline band)")
     else:
         print(f"detected onset: {result.detected_beta0:.4f}")

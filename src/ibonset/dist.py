@@ -41,7 +41,7 @@ def _prob_array(values, name: str, ndim: int) -> np.ndarray:
 def _unit_mass(arr: np.ndarray, what: str) -> np.ndarray:
     total = arr.sum()
     if abs(total - 1.0) > STOCHASTIC_ATOL:
-        raise ValidationError(f"{what} mass is {total!r}, expected 1")
+        raise ValidationError(f"{what} mass is {float(total)!r}, expected 1")
     return arr / total
 
 
@@ -124,7 +124,7 @@ class ConditionalMatrix:
         if np.any(np.abs(sums - 1.0) > STOCHASTIC_ATOL):
             worst = int(np.argmax(np.abs(sums - 1.0)))
             raise ValidationError(
-                f"row {worst} sums to {sums[worst]!r}, expected 1"
+                f"row {worst} sums to {float(sums[worst])!r}, expected 1"
             )
         rows = rows / sums[:, None]
 

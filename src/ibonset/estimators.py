@@ -372,7 +372,7 @@ def _correlation_pair(joint: DiscreteJoint) -> tuple[float, float, np.ndarray | 
     u, svals, _ = np.linalg.svd(q, full_matrices=False)
     if abs(svals[0] - 1.0) > 1e-9:
         raise ValidationError(
-            f"top singular value {svals[0]!r} deviates from 1; joint table invalid"
+            f"top singular value {float(svals[0])!r} deviates from 1; joint table invalid"
         )
     if len(svals) < 2:
         return float(svals[0]), 0.0, None

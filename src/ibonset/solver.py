@@ -44,6 +44,8 @@ INIT_CONCENTRATION = 10.0
 ONSET_BASELINE_POINTS = 5
 ONSET_SIGMAS = 3.0
 ONSET_FLOOR = 1e-6
+# an objective below -ONSET_LEARNED_TOL beats the trivial encoder's 0
+ONSET_LEARNED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -463,6 +465,10 @@ def sweep(
     points whose free energy rose (``non_monotone_betas``), the rows the
     kernel ran on (``distinct_rows``) and the grid beta whose point took
     the most solver iterations, the first on ties (``slowdown_peak_beta``).
+    An objective below the trivial encoder's 0 at the lowest grid point
+    proves that beta0 lies below the grid: ``onset_below_grid`` is then
+    true and ``detected_beta0`` None, since the band was built from points
+    that had already learned.
     """
     betas = np.asarray(beta_grid, dtype=float)
     check_grid_points(len(betas) if betas.ndim == 1 else 0)
@@ -505,6 +511,9 @@ def sweep(
                 prev = enc.probs
 
     detected, stats = detect_onset(betas, np.array([p.i_xz for p in points]))
+    below_grid = points[0].objective < -ONSET_LEARNED_TOL
+    if below_grid:
+        detected = None
     protocol = {
         **stats,
         "z_card": z_card,
@@ -512,6 +521,7 @@ def sweep(
         "max_iters": max_iters,
         "tol": CONVERGENCE_TOL,
         "warm_start": warm_start,
+        "onset_below_grid": below_grid,
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],

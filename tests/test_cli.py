@@ -90,6 +90,18 @@ def test_estimate_malformed_input_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("flag, body, line", [
+    ("--cond", "y0,y1\n0.9,0.2\n0.5,0.5\n", "error: row 0 sums to 1.1, expected 1"),
+    ("--joint", "0.5,0.5\n0.25,0.25\n", "error: joint mass is 1.5, expected 1"),
+], ids=["cond-row-sum", "joint-mass"])
+def test_estimate_unit_mass_errors_print_plain_floats(tmp_path, capsys, flag, body, line):
+    # both once printed the sum as np.float64(...)
+    path = tmp_path / "table.csv"
+    path.write_text(body)
+    assert main(["estimate", flag, str(path)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("case", ["cond-dir", "config-dir", "out-samples-dir", "cond-bytes"])
 def test_file_system_and_encoding_errors_exit_1(tmp_path, capsys, case):
     # each of these once escaped main as an IsADirectoryError or a
@@ -594,7 +606,45 @@ def test_sweep_product_joint_warns_but_succeeds(tmp_path, capsys):
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json"),
     ])
     assert code == 0
-    assert "none" in capsys.readouterr().out
+    assert "detected onset: none" in capsys.readouterr().out
+    assert _read_json(tmp_path / "s.json")["sweep"]["protocol"]["onset_below_grid"] is False
+
+
+def test_sweep_grid_above_beta0_reports_the_onset_below_the_grid(tmp_path, capsys):
+    # the baseline band was built from points that had already learned, so
+    # this printed "detected onset: none (no grid point escaped ...)"
+    out_json = tmp_path / "s.json"
+    code = main([
+        "sweep", "--preset", "noise-0.2",
+        "--beta-min", "3", "--beta-max", "4.5", "--beta-points", "9",
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
+    ])
+    assert code == 0
+    assert "\ndetected onset: below the grid (beta=3.0000 already learns)\n" in (
+        capsys.readouterr().out
+    )
+    doc = _read_json(out_json)["sweep"]
+    assert doc["points"][0]["objective"] < -1e-9
+    assert doc["protocol"]["onset_below_grid"] is True and doc["detected_beta0"] is None
+
+
+@pytest.mark.parametrize("preset, argv, window", [
+    ("noise-0.2", [], (2.5, 3.1)),
+    ("noise-0.0", ["--beta-min", "0.82", "--beta-max", "1.45"], (1.0, 1.1)),
+], ids=["noise-0.2", "noise-0.0"])
+def test_benchmark_sweeps_detect_the_onset_inside_the_grid(
+    tmp_path, capsys, preset, argv, window
+):
+    out_json = tmp_path / "s.json"
+    code = main([
+        "sweep", "--preset", preset, *argv, "--seed", "1",
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
+    ])
+    doc = _read_json(out_json)["sweep"]
+    detected = doc["detected_beta0"]
+    assert code == 0 and window[0] <= detected <= window[1]
+    assert f"\ndetected onset: {detected:.4f}\n" in capsys.readouterr().out
+    assert doc["protocol"]["onset_below_grid"] is False
 
 
 def test_sweep_one_row_table_runs_at_the_default_z_card(tmp_path, capsys):
@@ -611,6 +661,7 @@ def test_sweep_one_row_table_runs_at_the_default_z_card(tmp_path, capsys):
     assert "detected onset: none" in captured.out
     doc = _read_json(out_json)["sweep"]
     assert doc["protocol"]["z_card"] == 2 and doc["detected_beta0"] is None
+    assert doc["protocol"]["onset_below_grid"] is False
     assert all(p["objective"] == 0.0 for p in doc["points"])
 
 
@@ -790,6 +841,16 @@ def test_table_optional_columns(tmp_path):
     assert row["subset_learned_posterior"] is not None
     assert row["subset_learned_posterior"] == pytest.approx(TWO_CLUSTER_BETA, rel=0.5)
     assert 2.4 <= row["observed_onset"] <= 3.2
+
+
+def test_table_learned_column_is_pinned_end_to_end(tmp_path):
+    # the value the fixed-buffer classifier gives; the step-level reference
+    # tests cannot see a change in how the command seeds or configures it
+    out = tmp_path / "table.json"
+    code = main(["table", "--learned", "--rates", "0.2", "--samples", "4000",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert _read_json(out)["rows"][0]["subset_learned_posterior"] == 2.951797044198628
 
 
 def test_maxcorr_preset(tmp_path, capsys):
