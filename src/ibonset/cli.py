@@ -312,6 +312,8 @@ def _geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
 def _cmd_sweep(config) -> int:
     from . import solver
 
+    if config["restarts"] < 1:
+        raise ValidationError(f"sweep: restarts must be at least 1, got {config['restarts']}")
     problem = _load_problem(config, need_joint_table=True)
     grid = _geometric_grid(config["beta_min"], config["beta_max"], config["beta_points"])
     result = solver.sweep(

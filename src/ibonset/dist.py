@@ -87,7 +87,8 @@ class DiscreteJoint:
             arr = arr[keep_x][:, keep_y]
         object.__setattr__(self, "probs", _freeze(arr))
         object.__setattr__(self, "p_x", _freeze(arr.sum(axis=1)))
-        object.__setattr__(self, "p_y", _freeze(arr.sum(axis=0)))
+        # a contiguous axis is summed pairwise, not one row at a time
+        object.__setattr__(self, "p_y", _freeze(np.ascontiguousarray(arr.T).sum(axis=1)))
 
     __setstate__ = _setstate_frozen
 
@@ -98,11 +99,14 @@ class DiscreteJoint:
     @cached_property
     def merged(self) -> tuple[DiscreteJoint, np.ndarray]:
         """Joint p(t, y) over the bitwise-distinct rows t of p(y|x), and the
-        read-only index t(x) per row x; computed on first use and kept."""
+        read-only index t(x) per row x; computed on first use and kept.
+        Each t adds its rows in sorted order, so permuting the rows of the
+        table leaves the merged table bitwise the same."""
         _, group = np.unique(self.probs / self.p_x[:, None], axis=0, return_inverse=True)
         group = group.reshape(-1)
+        order = np.lexsort((*self.probs.T, group))
         merged = np.zeros((group.max() + 1, self.shape[1]))
-        np.add.at(merged, group, self.probs)
+        np.add.at(merged, group[order], self.probs[order])
         return DiscreteJoint(merged), _freeze(group)
 
 

@@ -520,9 +520,7 @@ def certify(joint: DiscreteJoint, estimate: BetaEstimate) -> float:
         raise ValidationError("tilt weights must be finite, non-negative and not all zero")
     mass = float(joint.p_x @ t)
     r_y = t @ joint.probs
-    # the KL of two close distributions magnifies any roundoff in their
-    # totals (p_y sums the joint row by row), so each is scaled to sum 1
-    den = float(rel_entr(r_y / r_y.sum(), joint.p_y / joint.p_y.sum()).sum())
+    den = float(rel_entr(r_y / r_y.sum(), joint.p_y).sum())
     if den <= DENOM_TOL:
         raise InvalidDirectionError("the tilt leaves the label distribution unchanged")
     return float(rel_entr(joint.p_x * t / mass, joint.p_x).sum()) / den

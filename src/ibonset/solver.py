@@ -187,11 +187,12 @@ def solve(
     their x.  This is exact: an encoder equal on the rows of each t has the
     same I(X;Z) = I(T;Z), I(Y;Z) and free energy on both tables, and every
     update produces such an encoder.  The merge is kept on the table
-    (:attr:`DiscreteJoint.merged`), so a sweep merges once.  Each
-    initialization, still drawn on all |X| rows, enters as its p(x)-weighted
-    mean over the rows of each t; one plain update of the unmerged
-    iteration reaches the same point, so only the first extrapolation
-    differs.  All restarts are scored in one stacked pass.  ``probs`` has
+    (:attr:`DiscreteJoint.merged`), so a sweep merges once.  The restarts
+    are one Dirichlet draw of shape ``(restarts, |T|)`` from
+    ``default_rng(seed)``, so the problem depends only on the merged table:
+    splitting a row into equal copies or permuting the rows changes no
+    draw.  ``init_probs`` enters as its p(x)-weighted mean over the rows of
+    each t.  All restarts are scored in one stacked pass.  ``probs`` has
     all |X| rows, the rows of one t being copies.
 
     Non-convergence is not an error: the best iterate comes back with
@@ -212,32 +213,24 @@ def solve(
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
-    n_x = joint.shape[0]
-    inits: list[np.ndarray] = []
-    if init_probs is not None:
-        arr = np.asarray(init_probs, dtype=float)
-        if arr.shape != (n_x, z_card):
-            raise ValidationError(
-                f"init_probs shape {arr.shape} does not match ({n_x}, {z_card})"
-            )
-        inits.append(arr)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in seq.spawn(restarts):
-        rng = np.random.default_rng(child)
-        inits.append(rng.dirichlet(np.full(z_card, INIT_CONCENTRATION), size=n_x))
-    if not inits:
-        raise ValidationError("no initialization: give init_probs or restarts >= 1")
-
     merged, group = joint.merged
     n_t = merged.shape[0]
-    # one bincount per initialization adds each (t, z) bin's rows in
-    # ascending x, as np.add.at does, so the sums are bitwise the same
-    bins = (group[:, None] * z_card + np.arange(z_card)).ravel()
-    start = np.stack([
-        np.bincount(bins, weights=(init * joint.p_x[:, None]).ravel(), minlength=n_t * z_card)
-        for init in inits
-    ]).reshape(len(inits), n_t, z_card)
-    start /= np.bincount(group, weights=joint.p_x)[:, None]
+    start = np.random.default_rng(seed).dirichlet(
+        np.full(z_card, INIT_CONCENTRATION), size=(restarts, n_t)
+    )
+    if init_probs is not None:
+        arr = np.asarray(init_probs, dtype=float)
+        if arr.shape != (joint.shape[0], z_card):
+            raise ValidationError(
+                f"init_probs shape {arr.shape} does not match ({joint.shape[0]}, {z_card})"
+            )
+        # the p(x)-weighted mean over the rows of each t
+        warm = np.zeros((n_t, z_card))
+        np.add.at(warm, group, arr * joint.p_x[:, None])
+        warm /= np.bincount(group, weights=joint.p_x)[:, None]
+        start = np.concatenate([warm[None], start])
+    if not len(start):
+        raise ValidationError("no initialization: give init_probs or restarts >= 1")
 
     probs, iterations, converged, increases = _fixed_point(
         start, merged, beta, max_iters, tol
@@ -255,7 +248,7 @@ def solve(
         objective=objectives[win],
         diagnostics={
             "restart": win,
-            "restarts_run": len(inits),
+            "restarts_run": len(start),
             "max_objective_increase": float(increases[win]),
             "i_xz": float(i_xz[win]),
             "i_yz": float(i_yz[win]),

@@ -8,6 +8,7 @@ without running the benchmark.
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -105,6 +106,29 @@ def test_estimate_workload_estimates_pass_their_checks_through_the_module_entry_
     # benchmark reads by method and value
     assert _passes_checks_through_the_module_entry_point(
         workloads, tmp_path, "estimate", "estimate") == 2
+
+
+def test_sweep_workload_passes_its_checks_through_the_module_entry_point(workloads, tmp_path):
+    # onsets inside their windows, 25 points, 26 CSV lines, subset >= 1/rho^2
+    assert _passes_checks_through_the_module_entry_point(workloads, tmp_path, "sweep") == 2
+
+
+#: the onset each sweep workload command detects, the same at every seed:
+#: a grid midpoint, so a change to the restarts' draws that moves it to a
+#: neighbouring grid interval shows here before the workload's window
+SWEEP_WORKLOAD_ONSETS = {"sweep noise-0.2": 2.7834646321418948,
+                         "sweep noise-0.0": 1.003505835835561}
+
+
+def test_sweep_workload_onsets_hold_at_seeds_0_to_19(workloads, tmp_path):
+    for seed in range(20):
+        for command in workloads.commands("sweep", seed, tmp_path, {}):
+            assert cli.main(command.argv) == 0, f"{command.name} at seed {seed}"
+            with open(command.reports[-1]) as fh:
+                doc = json.load(fh)["sweep"]
+            assert doc["detected_beta0"] == SWEEP_WORKLOAD_ONSETS[command.name], seed
+            assert all(p["converged"] for p in doc["points"])
+            assert doc["protocol"]["non_monotone_betas"] == []
 
 
 @pytest.mark.parametrize("module, name, argv", [

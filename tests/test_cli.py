@@ -704,6 +704,23 @@ def test_sweep_bad_solver_settings_exit_1_before_solving(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_sweep_without_restarts_exits_1_before_loading(tmp_path, capsys, monkeypatch, restarts):
+    # 0 used to fail with "no initialization: give init_probs or restarts
+    # >= 1", about a library argument that has no flag
+    def no_load(*args, **kwargs):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("ibonset.cli._load_problem", no_load)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--preset", "noise-0.2", "--restarts", str(restarts),
+                 "--out-csv", "s.csv", "--out-json", "s.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep: restarts must be at least 1, got {restarts}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monkeypatch):
     # a ValueError traceback from np.geomspace
     def no_solve(*args, **kwargs):
