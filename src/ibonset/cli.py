@@ -338,7 +338,7 @@ def _cmd_sweep(config) -> int:
         lowest = result.points[0].beta
         print(f"detected onset: below the grid (beta={lowest:.4f} already learns)")
     elif result.detected_beta0 is None:
-        print("detected onset: none (no grid point escaped the baseline band)")
+        print("detected onset: none (no grid point beat the trivial encoder's 0)")
     else:
         print(f"detected onset: {result.detected_beta0:.4f}")
     for name, value in theory.items():

@@ -14,8 +14,8 @@ The exactly uniform encoder is a stationary point for every beta, so
 initialization perturbs uniform rows with Dirichlet noise; several restarts
 are run and the best final objective wins, ties within roundoff going to the
 first restart.  A sweep over an ascending beta grid locates the empirical
-learnability onset: the first grid point whose converged I(X;Z) escapes the
-noise band of the lowest grid points (see :func:`detect_onset`).
+learnability onset: the first grid point whose objective beats the trivial
+encoder's 0 (see :func:`detect_onset`).
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ RESTART_TIE_RTOL = 1e-12
 CONVERGENCE_TOL = 1e-10
 # Dirichlet concentration of the perturbed-uniform initial rows
 INIT_CONCENTRATION = 10.0
-# the onset band of detect_onset
-ONSET_BASELINE_POINTS = 5
-ONSET_SIGMAS = 3.0
-ONSET_FLOOR = 1e-6
 # an objective below -ONSET_LEARNED_TOL beats the trivial encoder's 0
 ONSET_LEARNED_TOL = 1e-9
 
@@ -383,42 +379,30 @@ def _sweep_task(args) -> SweepPoint:
     return _sweep_point(beta, enc)
 
 
-def detect_onset(betas: np.ndarray, i_xz_values: np.ndarray) -> tuple[float | None, dict]:
-    """First beta where I(X;Z) escapes the low-beta noise band.
+def detect_onset(betas: np.ndarray, objectives: np.ndarray) -> tuple[float | None, bool]:
+    """First grid beta whose objective beats the trivial encoder's 0.
 
-    The band is the mean plus ``ONSET_SIGMAS`` standard deviations of the
-    ``ONSET_BASELINE_POINTS`` lowest grid points; ``ONSET_FLOOR`` (in nats)
-    guards a zero standard deviation.  The onset is reported as the
-    midpoint of the first escaping beta and its predecessor.
+    Below beta0 the trivial encoder, objective 0, is the global minimum, so
+    an objective below ``-ONSET_LEARNED_TOL`` at beta proves beta0 <= beta,
+    converged or not.  Returns ``(detected_beta0, below_grid)``: the first
+    such point at index 0 puts the onset below the grid, ``(None, True)``;
+    at index i >= 1 the onset is the midpoint of points i-1 and i; with no
+    such point there is no onset, ``(None, False)``.
     """
-    baseline = i_xz_values[:ONSET_BASELINE_POINTS]
-    mu = float(np.mean(baseline))
-    sigma = float(np.std(baseline))
-    threshold = mu + ONSET_SIGMAS * sigma + ONSET_FLOOR
-    detected = None
-    for i in range(1, len(betas)):
-        if i_xz_values[i] > threshold:
-            detected = float((betas[i] + betas[i - 1]) / 2.0)
-            break
-    stats = {
-        "baseline_mean": mu,
-        "baseline_std": sigma,
-        "threshold": threshold,
-        "baseline_points": ONSET_BASELINE_POINTS,
-        "sigma_multiplier": ONSET_SIGMAS,
-        "floor": ONSET_FLOOR,
-    }
-    return detected, stats
+    for i, objective in enumerate(objectives):
+        if objective < -ONSET_LEARNED_TOL:
+            if i == 0:
+                return None, True
+            return float((betas[i] + betas[i - 1]) / 2.0), False
+    return None, False
 
 
 def check_grid_points(points: int) -> None:
     """Reject a beta grid of ``points`` points, as :func:`sweep` does, when
-    it is too short for :func:`detect_onset`'s baseline band plus two; a
-    front end can call this before it builds the grid."""
-    if points < ONSET_BASELINE_POINTS + 2:
-        raise ValidationError(
-            f"beta grid must be one-dimensional with >= {ONSET_BASELINE_POINTS + 2} points"
-        )
+    it has fewer than the two that bracket an onset; a front end can call
+    this before it builds the grid."""
+    if points < 2:
+        raise ValidationError("beta grid must be one-dimensional with >= 2 points")
 
 
 def sweep(
@@ -451,17 +435,16 @@ def sweep(
     serially, slower in 8 of 8 alternating runs.  No command sets
     ``workers``; it stays only for the benchmark probes in
     ``bench/tracing.py`` that call it and goes once they are retired.  A
-    non-positive or non-finite beta or ``max_iters`` below 1 is rejected
-    before any point is solved.
+    grid of fewer than 2 points, a non-positive or non-finite beta, or
+    ``max_iters`` or ``restarts`` below 1 is rejected before any point is
+    solved.
 
-    ``protocol`` records the detection band, the solver settings, the
-    points whose free energy rose (``non_monotone_betas``), the rows the
-    kernel ran on (``distinct_rows``) and the grid beta whose point took
-    the most solver iterations, the first on ties (``slowdown_peak_beta``).
-    An objective below the trivial encoder's 0 at the lowest grid point
-    proves that beta0 lies below the grid: ``onset_below_grid`` is then
-    true and ``detected_beta0`` None, since the band was built from points
-    that had already learned.
+    ``detected_beta0`` and ``onset_below_grid`` are :func:`detect_onset`
+    of the points' objectives.  ``protocol`` records its tolerance
+    (``learned_tol``), the solver settings, the points whose free energy
+    rose (``non_monotone_betas``), the rows the kernel ran on
+    (``distinct_rows``) and the grid beta whose point took the most solver
+    iterations, the first on ties (``slowdown_peak_beta``).
     """
     betas = np.asarray(beta_grid, dtype=float)
     check_grid_points(len(betas) if betas.ndim == 1 else 0)
@@ -473,6 +456,8 @@ def sweep(
         raise ValidationError(f"workers must be non-negative, got {workers}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
     if z_card is None:
         z_card = default_z_card(joint)
     distinct_rows = joint.merged[0].shape[0]  # before the pool pickles joint
@@ -503,12 +488,9 @@ def sweep(
             if warm_start:
                 prev = enc.probs
 
-    detected, stats = detect_onset(betas, np.array([p.i_xz for p in points]))
-    below_grid = points[0].objective < -ONSET_LEARNED_TOL
-    if below_grid:
-        detected = None
+    detected, below_grid = detect_onset(betas, [p.objective for p in points])
     protocol = {
-        **stats,
+        "learned_tol": ONSET_LEARNED_TOL,
         "z_card": z_card,
         "restarts": restarts,
         "max_iters": max_iters,

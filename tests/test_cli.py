@@ -211,6 +211,20 @@ def test_readme_flags_are_options_of_some_command():
     assert sorted(flags - options - {"--config"}) == []
 
 
+def test_readme_solver_bullet_names_what_the_code_has():
+    # the bullet once kept naming the onset band's constants and protocol
+    # keys after the band was gone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    solver_bullet = readme.split("\n* `ibonset.solver`", 1)[1].split("\n* ", 1)[0]
+    keys = set(re.findall(r"protocol\.([a-z_]+)", solver_bullet))
+    constants = set(re.findall(r"\b[A-Z][A-Z0-9]*_[A-Z0-9_]+\b", solver_bullet))
+    assert "onset_below_grid" in keys and "ONSET_LEARNED_TOL" in constants
+    protocol = solver.sweep(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), [1.0, 2.0],
+                            restarts=1).to_dict()["protocol"]
+    assert sorted(keys - set(protocol)) == []
+    assert sorted(c for c in constants if not hasattr(solver, c)) == []
+
+
 def test_readme_library_quickstart_runs_and_prints_its_comments():
     # the quickstart once read a field that the estimators no longer had
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -647,6 +661,21 @@ def test_benchmark_sweeps_detect_the_onset_inside_the_grid(
     assert doc["protocol"]["onset_below_grid"] is False
 
 
+@pytest.mark.parametrize("preset", ["noise-0.1", "overlap-1.2"])
+def test_sweep_default_grid_brackets_an_onset_near_its_low_end(tmp_path, capsys, preset):
+    # beta0 lies between the grid's first two points; the noise band of the
+    # five lowest points, which had already learned, printed 2.3177
+    out_json = tmp_path / "s.json"
+    code = main([
+        "sweep", "--preset", preset,
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
+    ])
+    assert code == 0
+    assert "\ndetected onset: 1.5351\n" in capsys.readouterr().out
+    points = _read_json(out_json)["sweep"]["points"]
+    assert points[0]["objective"] >= -1e-9 > points[1]["objective"]
+
+
 def test_sweep_one_row_table_runs_at_the_default_z_card(tmp_path, capsys):
     # one bin gives a one-row table, whose min(|X|, 2|Y|) is 1; the default
     # used to fail with "z_card must be at least 2, got 1", about a flag
@@ -743,8 +772,8 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
       "--beta-points", "-2"], "beta_points must be positive, got -2"),
     # positive but too few for the sweep: also trained a classifier first
     (["--learned", "--sweep-column", "--rates", "0.1,0.2", "--samples", "4000",
-      "--beta-points", "3"], "beta grid must be one-dimensional with >= 7 points"),
-], ids=["plain", "learned-sweep-column", "learned-sweep-column-3-points"])
+      "--beta-points", "1"], "beta grid must be one-dimensional with >= 2 points"),
+], ids=["plain", "learned-sweep-column", "learned-sweep-column-1-point"])
 def test_table_negative_beta_points_exits_1_before_any_row(
     tmp_path, capsys, monkeypatch, argv, message
 ):
@@ -788,6 +817,22 @@ def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
     flagged = [p["beta"] for p in doc["points"] if p["max_objective_increase"] > 1e-9]
     assert doc["protocol"]["non_monotone_betas"] == flagged
     assert flagged and all(b > 3.0 for b in flagged)
+
+
+def test_table_sweep_column_onset_does_not_depend_on_the_seed(tmp_path):
+    # the grid is centred on the class-conditional value, so one point sits
+    # on beta0; the noise band fired there at some seeds and not at others
+    onsets = []
+    for seed in range(5):
+        out = tmp_path / f"t{seed}.json"
+        assert main(["table", "--sweep-column", "--rates", "0.02,0.04,0.06",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        onsets.append([row["observed_onset"] for row in _read_json(out)["rows"]])
+    assert all(row == onsets[0] for row in onsets)
+    for onset, rho in zip(onsets[0], (0.02, 0.04, 0.06)):
+        # the midpoint of the interval just above the centre point
+        assert onset == pytest.approx((1.0 + 4.0 ** (1 / 24)) / 2.0 / (1.0 - 2.0 * rho) ** 2,
+                                      rel=1e-9)
 
 
 def test_table_reproduces_closed_form(tmp_path, capsys):

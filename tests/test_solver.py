@@ -19,7 +19,9 @@ from ibonset import (
     discretize,
     dist,
     entropy,
+    get_preset,
     info_plane,
+    max_correlation,
     noise_preset,
     save_sweep_csv,
     solve,
@@ -148,7 +150,7 @@ def test_sweep_two_cluster_detects_onset():
     for p in result.points:
         assert p.i_yz <= p.i_xz + 1e-9
         assert p.objective <= 1e-9
-    assert result.protocol["baseline_points"] == 5
+    assert result.protocol["learned_tol"] == solver.ONSET_LEARNED_TOL == 1e-9
 
 
 def test_sweep_deterministic_onset_just_above_one():
@@ -163,8 +165,10 @@ def test_sweep_product_joint_finds_nothing():
 
 
 def test_sweep_grid_validation():
-    with pytest.raises(ValidationError):
-        sweep(DIAG, [1.0, 2.0, 3.0], seed=0)
+    with pytest.raises(ValidationError, match=">= 2 points"):
+        sweep(DIAG, [1.0], seed=0)
+    with pytest.raises(ValidationError, match=">= 2 points"):
+        sweep(DIAG, [[1.0, 2.0]], seed=0)
     with pytest.raises(ValidationError):
         sweep(DIAG, np.array([1.0, 2.0, 1.5, 3.0, 4.0, 5.0, 6.0]), seed=0)
 
@@ -304,15 +308,70 @@ def test_sweep_cold_path_solves_without_init_probs(monkeypatch):
     assert len(inits) == 7 and all(init is None for init in inits)
 
 
-def test_detect_onset_floor_guards_zero_sigma():
+def test_detect_onset_first_objective_below_the_tolerance():
     betas = np.linspace(1.0, 2.0, 11)
-    flat = np.zeros(11)
-    detected, stats = detect_onset(betas, flat)
-    assert detected is None
-    assert stats["threshold"] == pytest.approx(1e-6)
-    stepped = np.concatenate([np.zeros(8), np.full(3, 0.5)])
-    detected, _ = detect_onset(betas, stepped)
-    assert detected == pytest.approx((betas[8] + betas[7]) / 2.0)
+    assert detect_onset(betas, np.zeros(11)) == (None, False)
+    for i in range(1, 11):
+        objectives = np.zeros(11)
+        objectives[i:] = -1e-3
+        assert detect_onset(betas, objectives) == ((betas[i - 1] + betas[i]) / 2.0, False)
+    assert detect_onset(betas, np.full(11, -1e-3)) == (None, True)
+    # a residual within the tolerance is not a learned point
+    objectives = np.full(11, -1e-10)
+    objectives[7] = -2e-9
+    assert detect_onset(betas, objectives) == ((betas[6] + betas[7]) / 2.0, False)
+
+
+def _assert_bracket_certified(result):
+    """Every point below the reported bracket stays at the trivial 0 and
+    the bracket's upper point beats it."""
+    betas = [p.beta for p in result.points]
+    if result.protocol["onset_below_grid"]:
+        upper = 0
+    elif result.detected_beta0 is None:
+        upper = len(betas)
+    else:
+        upper = next(i for i, b in enumerate(betas) if b > result.detected_beta0)
+        assert result.detected_beta0 == (betas[upper - 1] + betas[upper]) / 2.0
+    assert all(p.objective >= -1e-9 for p in result.points[:upper])
+    if upper < len(betas):
+        assert result.points[upper].objective < -1e-9
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("preset", [
+    "noise-0.0", "noise-0.1", "noise-0.2", "noise-0.3",
+    "overlap-1.2", "overlap-2.0", "overlap-3.2",
+])
+def test_sweep_bracket_is_certified_on_presets(preset, warm_start):
+    # the command line's default grid
+    joint = discretize(get_preset(preset), bins_per_axis=32)
+    result = sweep(joint, np.geomspace(1.5, 4.5, 25), seed=1, warm_start=warm_start)
+    _assert_bracket_certified(result)
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+def test_sweep_bracket_is_certified_on_random_tables(warm_start):
+    for k in range(40):
+        joint = random_joint(np.random.default_rng(k), 6, 3)
+        rho = max_correlation(joint)
+        grid = np.geomspace(0.5 / rho**2, 2.0 / rho**2, 25)
+        result = sweep(joint, grid, seed=k, restarts=3, warm_start=warm_start)
+        _assert_bracket_certified(result)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+def test_sweep_without_restarts_rejected_before_any_point(monkeypatch, restarts, warm_start):
+    # failed inside the first solve with "give init_probs or restarts >= 1",
+    # which names an argument sweep does not take
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    with pytest.raises(ValidationError, match=f"restarts must be at least 1, got {restarts}"):
+        sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7),
+              restarts=restarts, warm_start=warm_start)
 
 
 def test_save_sweep_csv(tmp_path):
