@@ -773,7 +773,7 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
     # positive but too few for the sweep: also trained a classifier first
     (["--learned", "--sweep-column", "--rates", "0.1,0.2", "--samples", "4000",
       "--beta-points", "1"], "beta grid must be one-dimensional with >= 2 points"),
-], ids=["plain", "learned-sweep-column", "learned-sweep-column-1-point"])
+], ids=["plain", "learned-sweep-column", "learned-sweep-1-point"])
 def test_table_negative_beta_points_exits_1_before_any_row(
     tmp_path, capsys, monkeypatch, argv, message
 ):
