@@ -18,11 +18,10 @@ _EXPORTS = {
         "mutual_information", "save_conditional_csv", "save_joint_csv",
     ),
     "errors": (
-        "IndependenceError", "InvalidDirectionError", "OnsetError",
-        "UninformativeSubsetError", "ValidationError",
+        "IndependenceError", "InvalidDirectionError", "OnsetError", "ValidationError",
     ),
     "estimators": (
-        "BetaEstimate", "Method", "beta_for_scores", "beta_for_subset", "certify",
+        "BetaEstimate", "Method", "beta_for_scores", "certify",
         "class_conditional_beta", "info_density_beta", "max_correlation",
         "max_correlation_beta", "minimize_beta", "onset_correction", "subset_search",
     ),

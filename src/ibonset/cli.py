@@ -357,21 +357,30 @@ def _cmd_sweep(config) -> int:
     if not any(p.converged for p in result.points):
         print("warning: no grid point converged", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE
-    non_monotone = result.protocol["non_monotone_betas"]
-    if non_monotone:
-        print(
-            "warning: solver free energy rose by more than "
-            f"{solver.MONOTONE_TOL:g} at beta = "
-            + ", ".join(f"{b:.4f}" for b in non_monotone),
-            file=sys.stderr,
-        )
-        return _EXIT_NON_MONOTONE
-    return _EXIT_OK
+    return _check_monotone([("", result.protocol["non_monotone_betas"])])
 
 
-def _table_row(rho: float, config) -> dict:
-    """One noise-table row of ``noise-<rho>``; the compact two-row table is
-    the exact class-conditional input, so every column is deterministic."""
+def _check_monotone(non_monotone: list[tuple[str, list[float]]]) -> int:
+    """Warn about the grid betas, labelled per sweep, at which the solver's
+    free energy rose, and return the exit code they call for."""
+    rose = [(label, betas) for label, betas in non_monotone if betas]
+    if not rose:
+        return _EXIT_OK
+    from . import solver
+
+    print(
+        f"warning: solver free energy rose by more than {solver.MONOTONE_TOL:g} at "
+        + "; ".join(f"{label}beta = " + ", ".join(f"{b:.4f}" for b in betas)
+                    for label, betas in rose),
+        file=sys.stderr,
+    )
+    return _EXIT_NON_MONOTONE
+
+
+def _table_row(rho: float, config) -> tuple[dict, list[float]]:
+    """One noise-table row of ``noise-<rho>`` and the betas at which its
+    sweep column's free energy rose; the compact two-row table is the exact
+    class-conditional input, so every column is deterministic."""
     spec = synth.noise_preset(rho)
     problem = _spec_problem(spec)
     theory = _theory(problem, ("class-conditional", "subset", "functional"), config)
@@ -381,6 +390,7 @@ def _table_row(rho: float, config) -> dict:
         "subset_true_posterior": theory.get("subset_search"),
         "functional": theory.get("functional"),
     }
+    non_monotone = []
 
     if config["learned"]:
         from . import classifier
@@ -403,7 +413,8 @@ def _table_row(rho: float, config) -> dict:
         grid = _geometric_grid(max(0.5, target / 2.0), target * 2.0, config["beta_points"])
         result = solver.sweep(joint_exact, grid, seed=_task_seed(config["seed"], 3))
         row["observed_onset"] = result.detected_beta0
-    return row
+        non_monotone = result.protocol["non_monotone_betas"]
+    return row, non_monotone
 
 
 def _cmd_table(config) -> int:
@@ -415,7 +426,8 @@ def _cmd_table(config) -> int:
         from . import solver
 
         solver.check_grid_points(config["beta_points"])
-    rows = [_table_row(rho, config) for rho in config["rates"]]
+    results = [_table_row(rho, config) for rho in config["rates"]]
+    rows = [row for row, _ in results]
     columns = list(rows[0].keys())
     header = "  ".join(f"{c:>22}" for c in columns)
     print(header)
@@ -430,7 +442,7 @@ def _cmd_table(config) -> int:
         config.get("out"),
         {"command": "table", "config": config, "rows": rows},
     )
-    return _EXIT_OK
+    return _check_monotone([(f"rate {row['noise_rate']:g}: ", betas) for row, betas in results])
 
 
 def _cmd_maxcorr(config) -> int:
@@ -484,8 +496,7 @@ _COMMANDS = {
     }),
     "estimate": ("run the threshold estimators", _cmd_estimate, {
         **_INPUT,
-        "method": (str, "all", "comma list of subset, class-conditional, functional, "
-                   "maxcorr, info-density, or 'all'"),
+        "method": (str, "all", f"comma list of {', '.join(_ESTIMATORS)}, or 'all'"),
         "samples": (int, None, "sample the mixture and use analytic posteriors"),
         "bins": (int, 32, None),
         "seed": (int, 0, None),

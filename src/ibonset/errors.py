@@ -13,9 +13,5 @@ class IndependenceError(OnsetError):
     """X carries no information about Y, so no finite threshold exists."""
 
 
-class UninformativeSubsetError(OnsetError):
-    """The chosen subset has the marginal label distribution."""
-
-
 class InvalidDirectionError(OnsetError):
     """A score vector is constant (or label-blind) and defines no threshold."""

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import ConditionalMatrix, DiscreteJoint, _freeze, rel_entr
-from .errors import (
-    IndependenceError,
-    InvalidDirectionError,
-    UninformativeSubsetError,
-    ValidationError,
-)
+from .errors import IndependenceError, InvalidDirectionError, ValidationError
 
 #: denominators at or below this are treated as "no label information"
 DENOM_TOL = 1e-12
@@ -125,39 +120,9 @@ def _info_density_ratio(mass, label_dist, p_y):
                      where=den > DENOM_TOL)
 
 
-def beta_for_subset(cond: ConditionalMatrix, members) -> float:
-    """Threshold certified by one explicit subset of examples.
-
-    The subset mass comes from the example weights and the subset label
-    distribution is the weight-averaged row mean, so with uniform weights
-    the numerator reduces to N/n - 1.
-
-    Raises :class:`UninformativeSubsetError` when the subset's label
-    distribution matches the marginal (the ratio diverges there).
-    """
-    idx = np.asarray(members)
-    if idx.size == 0:
-        raise ValidationError("subset is empty")
-    # a cast would read 2.9 as row 2 and a boolean mask as rows 0 and 1
-    if idx.dtype.kind not in "iu":
-        raise ValidationError(f"subset members must be integer indices, got {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= cond.num_examples:
-        raise ValidationError("subset index out of range")
-    if len(np.unique(idx)) != idx.size:
-        raise ValidationError("subset contains duplicate indices")
-    if idx.size >= cond.num_examples:
-        raise UninformativeSubsetError(
-            "subset covers every example; its label distribution is the marginal"
-        )
-    w = cond.weights[idx]
-    mass = float(w.sum())
-    label_dist = (w[:, None] * cond.rows[idx]).sum(axis=0) / mass
-    value = float(_beta_ratio(mass, label_dist, cond.p_y))
-    if not math.isfinite(value):
-        raise UninformativeSubsetError(
-            "subset carries no label information (denominator ~ 0)"
-        )
-    return value
+def _require_two_values(num_x: int, num_y: int) -> None:
+    if num_x < 2 or num_y < 2:
+        raise IndependenceError("X or Y takes a single value, so they are independent")
 
 
 class _PrefixTables:
@@ -230,10 +195,7 @@ def _best_subset(cond: ConditionalMatrix, objective, method: Method,
     witnessed by the indicator of the minimizing range."""
     if variant not in ("prefix", "range"):
         raise ValidationError(f"unknown search variant {variant!r}")
-    if cond.num_examples < 2 or cond.num_classes < 2:
-        raise IndependenceError(
-            "X or Y takes a single value, so they are independent"
-        )
+    _require_two_values(cond.num_examples, cond.num_classes)
     best = None
     for pivot in range(cond.num_classes):
         tables = _PrefixTables(cond, _pivot_order(cond.rows, pivot))
@@ -348,8 +310,10 @@ def beta_for_scores(joint: DiscreteJoint, scores) -> float:
     """Threshold ratio of one per-example score vector.
 
     Var(s) / (E_y[(E[s|y])^2] - E[s]^2) under the joint.  Invariant under
-    affine maps of the scores.  Raises :class:`InvalidDirectionError` for
-    scores constant on the support or blind to the labels.
+    affine maps of the scores.  For the 0/1 indicator of a subset S of rows
+    it is S's threshold (1/p(S) - 1) / (sum_y p(y|S)^2/p(y) - 1).  Raises
+    :class:`InvalidDirectionError` for scores constant on the support or
+    blind to the labels.
     """
     centered, var = _centered_scores(joint, scores)
     cond_mean = (joint.probs.T @ centered) / joint.p_y
@@ -429,8 +393,7 @@ def minimize_beta(
     The result matches 1/max_correlation^2; the singular-value route is
     the exact minimizer and this iteration cross-validates it.
     """
-    if joint.shape[0] < 2:
-        raise ValidationError("need at least two x values to define a direction")
+    _require_two_values(*joint.shape)
     if iters < 0:
         raise ValidationError(f"iters must be non-negative, got {iters}")
     p_x, p_y = joint.p_x, joint.p_y

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,29 @@ def random_cond(rng: np.random.Generator, n: int, c: int) -> ConditionalMatrix:
     rows = rng.dirichlet(np.ones(c), size=n)
     weights = rng.dirichlet(np.ones(n) * 5.0)
     return ConditionalMatrix(rows, weights)
+
+
+def oracle_subset_beta(rows, weights, members):
+    """Direct evaluation of the subset threshold ratio
+    (1/p(S) - 1) / (sum_y p(y|S)^2/p(y) - 1); inf for an uninformative S."""
+    rows = np.asarray(rows, float)
+    weights = np.asarray(weights, float)
+    p_y = weights @ rows
+    mass = weights[members].sum()
+    if mass >= 1.0 - 1e-15:
+        return math.inf
+    q = (weights[members, None] * rows[members]).sum(axis=0) / mass
+    den = (q * q / p_y).sum() - 1.0
+    if den <= 1e-12:
+        return math.inf
+    return (1.0 / mass - 1.0) / den
+
+
+def indicator(n: int, members) -> np.ndarray:
+    """The 0/1 score vector of the rows ``members`` among ``n``."""
+    scores = np.zeros(n)
+    scores[members] = 1.0
+    return scores
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them on success).  Expected table values are the published
 class-conditional thresholds; everything else is checked against closed
-forms, independent oracles computed here, or exact-tolerance invariants.
+forms, independent oracles of the test suite, or exact-tolerance invariants.
 """
 
 import json
@@ -18,7 +18,6 @@ from ibonset import (
     DiscreteJoint,
     analytic_posterior,
     beta_for_scores,
-    beta_for_subset,
     class_conditional_beta,
     conditional_from_joint,
     discretize,
@@ -36,7 +35,7 @@ from ibonset import (
 )
 from ibonset.classifier import TrainConfig, fit, loss_and_gradients, predict_proba
 from ibonset.cli import main
-from conftest import random_cond, random_joint
+from conftest import indicator, oracle_subset_beta, random_cond, random_joint
 
 TWO_CLUSTER_BETA = 1.0 / 0.36
 
@@ -194,16 +193,15 @@ def test_criterion_7_property_suites():
         assert beta_for_scores(joint, a * scores + b) == pytest.approx(base, rel=1e-10)
     _check("criterion 7a (affine invariance of the score ratio)", True, "rel 1e-10")
 
-    # indicator consistency between the score ratio and subset ratio, 1e-10
+    # indicator consistency between the score ratio and the subset ratio
+    # of the test oracle, 1e-10
     for _ in range(20):
         joint = random_joint(rng)
         cond = conditional_from_joint(joint)
         size = int(rng.integers(1, joint.shape[0]))
         members = rng.choice(joint.shape[0], size=size, replace=False)
-        indicator = np.zeros(joint.shape[0])
-        indicator[members] = 1.0
-        assert beta_for_scores(joint, indicator) == pytest.approx(
-            beta_for_subset(cond, members), rel=1e-10
+        assert beta_for_scores(joint, indicator(joint.shape[0], members)) == pytest.approx(
+            oracle_subset_beta(cond.rows, cond.weights, members), rel=1e-10
         )
     _check("criterion 7b (indicator consistency)", True, "rel 1e-10")
 

@@ -18,7 +18,7 @@ from ibonset import (
     save_joint_csv,
     solver,
 )
-from ibonset.cli import _COMMANDS, _build_config, _task_seed, build_parser, main
+from ibonset.cli import _COMMANDS, _ESTIMATORS, _build_config, _task_seed, build_parser, main
 
 TWO_CLUSTER_BETA = 1.0 / 0.36
 
@@ -55,6 +55,30 @@ def test_estimate_independent_cond_exits_2(tmp_path):
     path = tmp_path / "flat.csv"
     save_conditional_csv(ConditionalMatrix([[0.5, 0.5]] * 4), path)
     assert main(["estimate", "--cond", str(path)]) == 2
+
+
+@pytest.mark.parametrize("method", list(_ESTIMATORS))
+def test_estimate_one_row_cond_exits_2_on_every_route(tmp_path, capsys, method):
+    # functional exited 1 with "need at least two x values"; a one-row table
+    # is an independent input on every route that reads it
+    path = tmp_path / "one_row.csv"
+    save_conditional_csv(ConditionalMatrix([[0.3, 0.7]]), path)
+    code = main(["estimate", "--cond", str(path), "--method", method])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if method == "class-conditional":
+        assert code == 1 and "no applicable estimator" in captured.err
+    else:
+        assert code == 2 and "independent" in captured.err
+
+
+def test_estimate_method_help_names_the_registry(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    names = re.search(r"--method METHOD comma list of (.*?), or 'all'", text).group(1)
+    assert names.split(", ") == list(_ESTIMATORS)
 
 
 def test_estimate_malformed_input_exits_1(tmp_path, capsys):
@@ -339,8 +363,8 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv, loaded):
 _STAR_NAMES = [
     "BetaEstimate", "ConditionalMatrix", "DiscreteJoint", "IndependenceError",
     "InvalidDirectionError", "Method", "MixtureSpec", "OnsetError", "SampleSet",
-    "UninformativeSubsetError", "ValidationError",
-    "analytic_posterior", "beta_for_scores", "beta_for_subset", "certify",
+    "ValidationError",
+    "analytic_posterior", "beta_for_scores", "certify",
     "class_conditional_beta", "conditional_from_joint", "discretize", "dist",
     "entropy", "errors", "estimators", "get_preset", "info_density_beta",
     "joint_from_conditional", "load_conditional_csv", "load_joint_csv",
@@ -791,7 +815,9 @@ def test_table_negative_beta_points_exits_1_before_any_row(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def rising_solve(monkeypatch):
+    """Make every solve above beta = 3 report a free-energy rise of 1e-6."""
     original = solver.solve
 
     def rising_solve(joint, beta, *args, **kwargs):
@@ -802,6 +828,9 @@ def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
         return enc
 
     monkeypatch.setattr(solver, "solve", rising_solve)
+
+
+def test_sweep_non_monotone_exits_4(tmp_path, capsys, rising_solve):
     joint_path = tmp_path / "joint.csv"
     save_joint_csv(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), joint_path)
     out_json = tmp_path / "s.json"
@@ -817,6 +846,28 @@ def test_sweep_non_monotone_exits_4(tmp_path, capsys, monkeypatch):
     flagged = [p["beta"] for p in doc["points"] if p["max_objective_increase"] > 1e-9]
     assert doc["protocol"]["non_monotone_betas"] == flagged
     assert flagged and all(b > 3.0 for b in flagged)
+
+
+def test_table_sweep_column_non_monotone_exits_4(tmp_path, capsys, rising_solve):
+    # the sweep column dropped the solver's monotone check and exited 0
+    out = tmp_path / "t.json"
+    code = main(["table", "--sweep-column", "--rates", "0.1,0.2", "--beta-points", "9",
+                 "--out", str(out)])
+    assert code == 4
+    rows = _read_json(out)["rows"]
+    assert [list(row) for row in rows] == [[
+        "noise_rate", "class_conditional", "subset_true_posterior", "functional",
+        "observed_onset",
+    ]] * 2
+    flagged = []
+    for rho in (0.1, 0.2):
+        target = 1.0 / (1.0 - 2.0 * rho) ** 2
+        grid = np.geomspace(max(0.5, target / 2.0), target * 2.0, 9)
+        flagged.append(", ".join(f"{b:.4f}" for b in grid if b > 3.0))
+    assert capsys.readouterr().err == (
+        "warning: solver free energy rose by more than 1e-09 at "
+        f"rate 0.1: beta = {flagged[0]}; rate 0.2: beta = {flagged[1]}\n"
+    )
 
 
 def test_table_sweep_column_onset_does_not_depend_on_the_seed(tmp_path):

@@ -10,11 +10,9 @@ from ibonset import (
     IndependenceError,
     InvalidDirectionError,
     Method,
-    UninformativeSubsetError,
     ValidationError,
     analytic_posterior,
     beta_for_scores,
-    beta_for_subset,
     certify,
     class_conditional_beta,
     conditional_from_joint,
@@ -31,7 +29,14 @@ from ibonset import (
     subset_search,
     symmetric_flip,
 )
-from conftest import random_cond, random_joint, two_cluster_cond, two_cluster_joint
+from conftest import (
+    indicator,
+    oracle_subset_beta,
+    random_cond,
+    random_joint,
+    two_cluster_cond,
+    two_cluster_joint,
+)
 
 TWO_CLUSTER_BETA = 1.0 / 0.36  # 2.7777...
 
@@ -39,21 +44,6 @@ TWO_CLUSTER_BETA = 1.0 / 0.36  # 2.7777...
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-def oracle_subset_beta(rows, weights, members):
-    """Direct evaluation of the subset threshold ratio."""
-    rows = np.asarray(rows, float)
-    weights = np.asarray(weights, float)
-    p_y = weights @ rows
-    mass = weights[members].sum()
-    if mass >= 1.0 - 1e-15:
-        return math.inf
-    q = (weights[members, None] * rows[members]).sum(axis=0) / mass
-    den = (q * q / p_y).sum() - 1.0
-    if den <= 1e-12:
-        return math.inf
-    return (1.0 / mass - 1.0) / den
-
 
 def oracle_subset_info_density(rows, weights, members):
     rows = np.asarray(rows, float)
@@ -106,32 +96,29 @@ def oracle_binary_max_correlation(joint):
 
 
 # ---------------------------------------------------------------------------
-# subset threshold
+# subset threshold: the score functional of the subset's indicator
 # ---------------------------------------------------------------------------
+
+def _subset_beta(cond, members):
+    return beta_for_scores(joint_from_conditional(cond), indicator(cond.num_examples, members))
+
 
 def test_subset_beta_deterministic_half():
     cond = ConditionalMatrix([[1, 0], [1, 0], [0, 1], [0, 1]])
-    assert beta_for_subset(cond, [0, 1]) == pytest.approx(1.0, abs=1e-12)
+    assert _subset_beta(cond, [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subset_beta_two_cluster():
-    cond = two_cluster_cond(0.2)
-    value = beta_for_subset(cond, [0, 1, 2, 3])
+    value = _subset_beta(two_cluster_cond(0.2), [0, 1, 2, 3])
     assert value == pytest.approx(TWO_CLUSTER_BETA, abs=1e-12)
     assert value == pytest.approx(2.78, abs=0.01)
 
 
 def test_subset_beta_whole_set_uninformative():
+    # the whole set's indicator is constant, so it proves nothing
     cond = two_cluster_cond(0.2)
-    with pytest.raises(UninformativeSubsetError):
-        beta_for_subset(cond, list(range(cond.num_examples)))
-
-
-@pytest.mark.parametrize("members", [[0.7, 2.9], [True, False, True] + [False] * 5])
-def test_subset_beta_rejects_non_integer_members(members):
-    # a cast read [0.7, 2.9] as rows 0 and 2, and a mask as rows 0 and 1
-    with pytest.raises(ValidationError, match="integer indices"):
-        beta_for_subset(two_cluster_cond(0.2), members)
+    with pytest.raises(InvalidDirectionError, match="constant"):
+        _subset_beta(cond, list(range(cond.num_examples)))
 
 
 def test_subset_beta_matches_oracle_on_random_subsets(rng):
@@ -141,7 +128,16 @@ def test_subset_beta_matches_oracle_on_random_subsets(rng):
         members = rng.choice(cond.num_examples, size=size, replace=False)
         expected = oracle_subset_beta(cond.rows, cond.weights, members)
         if math.isfinite(expected):
-            assert beta_for_subset(cond, members) == pytest.approx(expected, rel=1e-12)
+            assert _subset_beta(cond, members) == pytest.approx(expected, rel=1e-12)
+
+
+def _assert_subset_witness(cond, result):
+    """The reported subset achieves the reported value, by the oracle and
+    by certify."""
+    members = np.flatnonzero(result.witness)
+    direct = oracle_subset_beta(cond.rows, cond.weights, members)
+    assert direct == pytest.approx(result.value, rel=1e-12)
+    assert certify(joint_from_conditional(cond), result) == pytest.approx(result.value, rel=1e-12)
 
 
 def test_subset_search_two_cluster():
@@ -191,9 +187,7 @@ def test_subset_search_matches_exhaustive_prefix_oracle(rng):
             continue
         result = subset_search(cond, variant="prefix")
         assert result.value == pytest.approx(expected, rel=1e-12)
-        # the reported subset really achieves the reported value
-        direct = beta_for_subset(cond, np.flatnonzero(result.witness))
-        assert direct == pytest.approx(result.value, rel=1e-12)
+        _assert_subset_witness(cond, result)
 
 
 def test_subset_search_range_variant_at_least_as_tight(rng):
@@ -211,8 +205,7 @@ def test_subset_search_range_matches_exhaustive_range_oracle(rng):
         if math.isfinite(expected):
             result = subset_search(cond, variant="range")
             assert result.value == pytest.approx(expected, rel=1e-12)
-            direct = beta_for_subset(cond, np.flatnonzero(result.witness))
-            assert direct == pytest.approx(result.value, rel=1e-12)
+            _assert_subset_witness(cond, result)
 
 
 def test_subset_search_range_variant_large_input_consistent(rng):
@@ -221,8 +214,7 @@ def test_subset_search_range_variant_large_input_consistent(rng):
     for trial in range(5):
         cond = random_cond(rng, 1000, 3)
         result = subset_search(cond, variant="range")
-        direct = beta_for_subset(cond, np.flatnonzero(result.witness))
-        assert direct == pytest.approx(result.value, rel=1e-12)
+        _assert_subset_witness(cond, result)
         prefix = subset_search(cond, variant="prefix").value
         assert result.value <= prefix + 1e-12
 
@@ -319,15 +311,11 @@ def test_scores_indicator_consistency_with_subsets(rng):
         cond = conditional_from_joint(joint)
         size = int(rng.integers(1, joint.shape[0]))
         members = rng.choice(joint.shape[0], size=size, replace=False)
-        indicator = np.zeros(joint.shape[0])
-        indicator[members] = 1.0
-        try:
-            by_subset = beta_for_subset(cond, members)
-        except UninformativeSubsetError:
-            continue
-        assert beta_for_scores(joint, indicator) == pytest.approx(
-            by_subset, rel=1e-10
-        )
+        by_subset = oracle_subset_beta(cond.rows, cond.weights, members)
+        if math.isfinite(by_subset):
+            assert beta_for_scores(joint, indicator(joint.shape[0], members)) == pytest.approx(
+                by_subset, rel=1e-10
+            )
 
 
 def test_scores_affine_invariance(rng):
@@ -694,3 +682,30 @@ def test_certify_rejects_a_witness_that_does_not_fit():
             certify(joint, bad)
     with pytest.raises(InvalidDirectionError):
         certify(joint, BetaEstimate(est.value, est.method, [1.0, 1.0]))
+
+
+def _extreme_cond(n, c, seed):
+    """Dirichlet(1) label rows, half of them replaced by one-hot rows moved
+    at most 1e-12 off 0/1, and Gamma(2) example weights of which a fifth are
+    scaled by 1e-12."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(c), size=n)
+    sharp = rng.random(n) < 0.5
+    one_hot = np.eye(c)[rng.integers(c, size=int(sharp.sum()))]
+    rows[sharp] = (1.0 - 1e-12) * one_hot + 1e-12 * rows[sharp]
+    weights = rng.gamma(2.0, size=n)
+    weights[rng.choice(n, n // 5, replace=False)] *= 1e-12
+    return ConditionalMatrix(rows, weights / weights.sum())
+
+
+@pytest.mark.parametrize("n, c", [
+    (2, 2), (3, 10), (40, 3), (700, 10), (5000, 2), (20_000, 6), (100_000, 10),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certify_reproduces_subset_witnesses_on_extreme_tables(n, c, seed):
+    cond = _extreme_cond(n, c, seed)
+    joint = joint_from_conditional(cond)
+    subset = subset_search(cond)
+    for est in (subset, info_density_beta(cond)):
+        assert certify(joint, est) == pytest.approx(est.value, rel=1e-12), est.method
+    assert subset.value >= max_correlation_beta(joint).value * (1.0 - 1e-9)
