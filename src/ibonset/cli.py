@@ -238,9 +238,7 @@ _ESTIMATORS = {
         None if problem.noise is None
         else estimators.class_conditional_beta(problem.noise, problem.prior)
     ),
-    "functional": lambda problem, config: estimators.minimize_beta(
-        problem.joint, seed=config["seed"]
-    ),
+    "functional": lambda problem, config: estimators.minimize_beta(problem.joint),
     "maxcorr": lambda problem, config: estimators.max_correlation_beta(problem.joint),
     "info-density": lambda problem, config: estimators.info_density_beta(problem.cond),
 }

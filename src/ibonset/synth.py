@@ -35,7 +35,7 @@ def _finite(value, name: str) -> np.ndarray:
             f"{name} must be a number or a rectangular array of numbers, got {value!r}"
         ) from exc
     if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} must be finite, got {out!r}")
+        raise ValidationError(f"{name} must be finite, got {out.tolist()}")
     return out
 
 

@@ -170,3 +170,18 @@ def test_sweep_calls_solve_once_per_grid_beta(monkeypatch):
     solver.sweep(discretize(noise_preset(0.2)), grid, seed=1)
     assert [beta for beta, _ in calls] == grid.tolist()
     assert all(isinstance(enc, solver.Encoder) for _, enc in calls)
+
+
+def test_results_carry_the_fields_the_traced_run_reads():
+    # tracing.suite reads these off its results; without any of them
+    # `bench/run.py --trace 1` dies before it writes a number
+    estimators = importlib.import_module("ibonset.estimators")
+    solver = importlib.import_module("ibonset.solver")
+    joint = discretize(noise_preset(0.2))
+    est = estimators.minimize_beta(joint, seed=1)
+    assert isinstance(est.diagnostics["iterations"], int)
+    assert isinstance(est.diagnostics["converged"], bool)
+    enc = solver.solve(joint, 3.0, 2, seed=1, restarts=1, max_iters=10, tol=0.0)
+    assert isinstance(enc, solver.Encoder) and enc.iterations >= 1
+    result = solver.sweep(joint, np.geomspace(1.5, 4.5, 3), seed=1)
+    assert [isinstance(p.converged, bool) for p in result.points] == [True] * 3

@@ -126,6 +126,47 @@ def test_estimate_unit_mass_errors_print_plain_floats(tmp_path, capsys, flag, bo
     assert capsys.readouterr().err == line + "\n"
 
 
+@pytest.mark.parametrize("argv, spec, line", [
+    (["--preset", "overlap-nan"], None,
+     "error: component mean must be finite, got [[nan, 0.0], [nan, 0.0]]"),
+    (["--spec"], ("mean", [float("nan"), 0.0]),
+     "error: component mean must be finite, got [[nan, 0.0], [8.0, 0.0]]"),
+    (["--spec"], ("variances", [float("inf"), 0.25]),
+     "error: component variances must be finite, got [[inf, 0.25], [0.25, 0.25]]"),
+], ids=["preset-nan", "spec-nan", "spec-infinity"])
+def test_estimate_non_finite_mixture_numbers_print_one_plain_line(
+        tmp_path, capsys, argv, spec, line):
+    # each once printed a numpy array repr split over two lines; json.load
+    # reads NaN and Infinity, so a spec file can hold them
+    if spec is not None:
+        doc = ibonset.noise_preset(0.2).to_dict()
+        doc["components"][0][spec[0]] = spec[1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    assert main(["estimate", *argv]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("body", [
+    "y0,y1,y2\n0.5,0.5,0\n0.2,0.8,0\n",
+    "y0,y1,y2\n0.5,0,0.5\n0.2,0,0.8\n",
+], ids=["empty-last", "empty-middle"])
+def test_estimate_subset_reads_a_table_with_an_empty_label(tmp_path, body):
+    # subset search once found every candidate NaN here, with a
+    # RuntimeWarning, and exited 2 as if X and Y were independent
+    path, out = tmp_path / "cond.csv", tmp_path / "report.json"
+    path.write_text(body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "--cond", str(path), "--method", "subset",
+                     "--out", str(out)]) == 0
+    # the joint table drops the empty label, and says so; nothing else warns
+    assert [str(w.message) for w in caught] == [
+        "pruned 1 zero-mass rows/columns from joint table"]
+    assert _read_json(out)["estimates"][0]["value"] == pytest.approx(91.0 / 9.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["cond-dir", "config-dir", "out-samples-dir", "cond-bytes"])
 def test_file_system_and_encoding_errors_exit_1(tmp_path, capsys, case):
     # each of these once escaped main as an IsADirectoryError or a
@@ -1010,8 +1051,8 @@ def test_round_trip_preserves_estimates(tmp_path):
 
 
 def test_estimate_functional_converges_on_weighted_table(tmp_path):
-    # the descent must reach 1/rho^2 on a real-sized table, not stall at
-    # its iteration cap
+    # the functional reaches 1/rho^2 on a real-sized table, and its report
+    # keeps the diagnostics the benchmark reads
     rng = np.random.default_rng(0)
     rows = rng.dirichlet(np.ones(4), size=1000)
     weights = rng.gamma(2.0, size=1000)
