@@ -31,6 +31,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -567,11 +568,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """Run :func:`main` on ``sys.argv`` and exit with its code.
 
-    Every report is written and closed inside ``main``, and finalization
-    flushes stdout and stderr, so freezing the heap afterwards changes no
-    output; it only spares the exit a collection of objects that die with
-    the process anyway (module docstring).
+    A library warning prints as a ``warning: <message>`` line on stderr,
+    the form of the commands' own warnings.  Every report is written and
+    closed inside ``main``, and finalization flushes stdout and stderr, so
+    freezing the heap afterwards changes no output; it only spares the exit
+    a collection of objects that die with the process anyway (module
+    docstring).
     """
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     try:
         sys.exit(main())
     finally:

@@ -2,8 +2,8 @@
 
 Joint tables and row-stochastic conditionals, which carry their marginals,
 mutual information and entropy, and the CSV formats used to move tables
-between runs.  All containers are immutable after construction and safe to
-share across workers.
+between runs.  All containers are immutable after construction, and stay
+so through a pickle round trip.
 
 Probabilities are validated to a stochasticity tolerance of 1e-9 and then
 renormalized exactly, so downstream arithmetic always sees sums of 1.
@@ -82,7 +82,8 @@ class DiscreteJoint:
             dropped = int((~keep_x).sum() + (~keep_y).sum())
             warnings.warn(
                 f"pruned {dropped} zero-mass rows/columns from joint table",
-                stacklevel=2,
+                # past the dataclass-generated __init__, to its caller
+                stacklevel=3,
             )
             arr = arr[keep_x][:, keep_y]
         object.__setattr__(self, "probs", _freeze(arr))

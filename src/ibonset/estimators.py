@@ -5,9 +5,9 @@ smallest trade-off coefficient at which the bottleneck objective prefers a
 non-trivial encoder:
 
 * ``subset_search``: sort examples by confidence toward a pivot class and
-  scan contiguous subsets for the one minimizing the threshold ratio.
-* ``info_density_beta``: the same scan for the information-density ratio of
-  the subset conditional p(x|S).
+  take the prefix of that order minimizing the threshold ratio.
+* ``info_density_beta``: the same search for the information-density ratio
+  of the subset conditional p(x|S).
 * ``class_conditional_beta``: closed form when label noise depends only on
   the true class.
 * ``beta_for_scores`` / ``minimize_beta``: the variance-ratio functional of
@@ -35,11 +35,6 @@ from .errors import IndependenceError, InvalidDirectionError, ValidationError
 
 #: denominators at or below this are treated as "no label information"
 DENOM_TOL = 1e-12
-
-#: the range search scans every range of a pivot order while there are at
-#: most this many (N <= 723); beyond, coordinate descent, which can stop at a
-#: local minimum, bounds the work at O(N C) per step
-_RANGE_SCAN_LIMIT = 1 << 18
 
 #: thresholds may dip this far below 1 from floating-point roundoff
 _BETA_SLACK = 1e-9
@@ -123,132 +118,72 @@ def _require_two_values(num_x: int, num_y: int) -> None:
         raise IndependenceError("X or Y takes a single value, so they are independent")
 
 
-class _PrefixTables:
-    """Cumulative statistics along one pivot ordering.
+def _best_subset(cond: ConditionalMatrix, objective, method: Method) -> BetaEstimate:
+    """Minimum of ``objective`` over the strict prefixes of every pivot
+    order, witnessed by the indicator of the minimizing prefix.
 
-    After the O(N C) setup, the contiguous ranges [lo, hi] (1-based,
-    inclusive) are evaluated for whole arrays of ``lo`` and ``hi`` at once.
+    A pivot order sorts the rows by the pivot class's probability, highest
+    first (stable, so ties keep their original index order).  Its prefixes
+    of 1..N-1 rows are scored at once from cumulative sums; the full set is
+    the one candidate excluded, by index: its cumulative mass rounds near
+    but not to 1 at large N, and its ratio is then noise.  Ties go to the
+    shortest prefix and then to the lowest pivot.
     """
-
-    def __init__(self, cond: ConditionalMatrix, order: np.ndarray):
-        self.order = order
-        w = cond.weights[order]
-        # a leading zero row makes every range a difference of two entries
-        self.cum_w = np.concatenate(([0.0], np.cumsum(w)))
-        self.cum_wr = np.vstack((
-            np.zeros(cond.num_classes),
-            np.cumsum(w[:, None] * cond.rows[order], axis=0),
-        ))
-        self.p_y = cond.p_y
-        self.n = len(order)
-
-    def stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        mass = self.cum_w[hi] - self.cum_w[lo - 1]
-        acc = self.cum_wr[hi] - self.cum_wr[lo - 1]
-        return mass, acc / np.expand_dims(mass, -1)
-
-    def argmin(self, objective, lo, hi) -> tuple[float, int, int]:
-        """Exact minimum of ``objective`` over the ranges [lo[i], hi[i]];
-        ties go to the first."""
-        lo, hi = np.broadcast_arrays(lo, hi)
-        values = objective(*self.stats(lo, hi), self.p_y)
-        i = int(np.argmin(values))
-        return float(values[i]), int(lo[i]), int(hi[i])
-
-
-def _pivot_order(rows: np.ndarray, pivot: int) -> np.ndarray:
-    # stable sort keeps original index order among ties
-    return np.argsort(-rows[:, pivot], kind="stable")
-
-
-def _search_pivot(tables: _PrefixTables, objective, variant: str):
-    """Best (value, lo, hi) for one pivot ordering.
-
-    The full set is the one candidate excluded, by index: its cumulative
-    mass rounds near but not to 1 at large N, and its ratio is then noise.
-    """
-    n = tables.n
-    if variant == "range" and n * (n + 1) // 2 <= _RANGE_SCAN_LIMIT:
-        lo, hi = np.triu_indices(n)
-        strict = (lo > 0) | (hi < n - 1)
-        return tables.argmin(objective, lo[strict] + 1, hi[strict] + 1)
-    best = tables.argmin(objective, 1, np.arange(1, n))
-    if variant == "prefix":
-        return best
-    # coordinate descent from the best prefix: the exact minimum over the
-    # left edge with the right fixed, then over the right edge with the left
-    # fixed; each step keeps the current range as a candidate, so the value
-    # never rises, and the loop ends when a round no longer lowers it
-    while True:
-        value, lo, hi = best
-        _, lo, _ = tables.argmin(objective, np.arange(1 + (hi == n), hi + 1), hi)
-        best = tables.argmin(objective, lo, np.arange(lo, n + (lo > 1)))
-        if not best[0] < value:
-            return best
-
-
-def _best_subset(cond: ConditionalMatrix, objective, method: Method,
-                 variant: str) -> BetaEstimate:
-    """Minimum of ``objective`` over the candidates of every pivot order,
-    witnessed by the indicator of the minimizing range."""
-    if variant not in ("prefix", "range"):
-        raise ValidationError(f"unknown search variant {variant!r}")
     _require_two_values(cond.num_examples, cond.num_classes)
     best = None
     for pivot in range(cond.num_classes):
-        tables = _PrefixTables(cond, _pivot_order(cond.rows, pivot))
-        value, lo, hi = _search_pivot(tables, objective, variant)
-        if best is None or value < best[0]:
-            best = (value, pivot, lo, hi, tables)
-    if not math.isfinite(best[0]):
+        order = np.argsort(-cond.rows[:, pivot], kind="stable")
+        w = cond.weights[order]
+        mass = np.cumsum(w)[:-1]
+        q = np.cumsum(w[:, None] * cond.rows[order], axis=0)[:-1] / mass[:, None]
+        values = objective(mass, q, cond.p_y)
+        k = int(np.argmin(values))
+        if best is None or values[k] < best[0]:
+            best = (float(values[k]), pivot, order[:k + 1], float(mass[k]), q[k])
+    value, pivot, members, mass, q = best
+    if not math.isfinite(value):
         raise IndependenceError(
             "every candidate subset has the marginal label distribution; "
             "X and Y are independent"
         )
-    value, pivot, lo, hi, tables = best
-    mass, q = tables.stats(lo, hi)
-    members = np.zeros(cond.num_examples)
-    members[tables.order[lo - 1:hi]] = 1.0
-    return BetaEstimate(value, method, members, diagnostics={
-        "variant": variant,
+    witness = np.zeros(cond.num_examples)
+    witness[members] = 1.0
+    return BetaEstimate(value, method, witness, diagnostics={
         "pivot_class": pivot,
-        "mass": float(mass),
-        # the cumulative-sum differences sum to 1 only up to roundoff
+        "mass": mass,
+        # the cumulative sums sum to 1 only up to roundoff
         "label_dist": (q / q.sum()).tolist(),
     })
 
 
 def subset_search(cond: ConditionalMatrix, *, variant: str = "prefix") -> BetaEstimate:
-    """Find the contiguous subset minimizing the threshold ratio.
+    """Find the prefix subset minimizing the threshold ratio.
 
     For each pivot class the rows are sorted by that class's probability in
-    decreasing order (stable, original index as tie-break) and contiguous
-    strict subsets are searched: the exact minimum over every prefix
-    anchored at the top row by default (``variant='prefix'``), or over free
-    ranges (``variant='range'``), exact while N(N+1)/2 is at most
-    ``_RANGE_SCAN_LIMIT`` and by coordinate descent with exact steps from
-    the best prefix beyond, a local search that missed the exhaustive
-    minimum by up to 23% in forced small-N tests.  The minimum over pivot
-    classes is returned, witnessed by the subset's indicator.  The result
-    is an upper bound on the true threshold.  Every command runs the prefix
-    search; ``variant`` stays only for the benchmark probes in
-    ``bench/tracing.py`` that call it and goes once they are retired.
+    decreasing order (stable, original index as tie-break), and the exact
+    minimum over every strict prefix of that order is taken.  The minimum
+    over pivot classes is returned, witnessed by the subset's indicator.
+    The result is an upper bound on the true threshold.
+
+    ``variant`` is ignored: it stays only because the benchmark's traced
+    run passes ``variant="range"``, and goes with ROADMAP item 1, as
+    ``minimize_beta(seed=)`` does.
 
     Raises :class:`IndependenceError` when no candidate subset carries any
     label information.
     """
-    return _best_subset(cond, _beta_ratio, Method.SUBSET_SEARCH, variant)
+    return _best_subset(cond, _beta_ratio, Method.SUBSET_SEARCH)
 
 
 def info_density_beta(cond: ConditionalMatrix) -> BetaEstimate:
     """Information-density threshold of the best subset conditional.
 
     Minimizes (-ln p(S)) / KL(p(y|S) || p(y)) over the prefixes that
-    :func:`subset_search` searches by default.  That ratio is
+    :func:`subset_search` searches.  That ratio is
     D(r || p(x)) / D(rK || p(y)) for the tilt r = p(x | S), which bounds the
     global threshold from above; the witness is the subset's indicator.
     """
-    return _best_subset(cond, _info_density_ratio, Method.INFO_DENSITY, "prefix")
+    return _best_subset(cond, _info_density_ratio, Method.INFO_DENSITY)
 
 
 def class_conditional_beta(noise, prior=None) -> BetaEstimate:
@@ -261,8 +196,6 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     table ``ConditionalMatrix(noise, prior)``.
     """
     table = ConditionalMatrix(np.asarray(noise, dtype=float), prior)
-    if table.p_y.min() <= 0.0:
-        raise ValidationError("induced label marginal has a zero entry")
     per_class = _beta_ratio(table.weights, table.rows, table.p_y).tolist()
     pivot = int(np.argmin(per_class))
     value = per_class[pivot]

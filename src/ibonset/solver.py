@@ -21,7 +21,6 @@ encoder's 0 (see :func:`detect_onset`).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,20 +364,6 @@ def _fixed_point(
     return out_probs, out_iters, out_converged, out_increase
 
 
-def _sweep_point(beta: float, enc: Encoder) -> SweepPoint:
-    d = enc.diagnostics
-    return SweepPoint(
-        beta, d["i_xz"], d["i_yz"], enc.objective, enc.converged,
-        enc.iterations, d["restart"], d["max_objective_increase"],
-    )
-
-
-def _sweep_task(args) -> SweepPoint:
-    joint, beta, z_card, seed, max_iters, restarts = args
-    enc = solve(joint, beta, z_card, seed=seed, max_iters=max_iters, restarts=restarts)
-    return _sweep_point(beta, enc)
-
-
 def detect_onset(betas: np.ndarray, objectives: np.ndarray) -> tuple[float | None, bool]:
     """First grid beta whose objective beats the trivial encoder's 0.
 
@@ -425,19 +410,13 @@ def sweep(
     order with each point's encoder as an extra initialization
     (``init_probs``) of the next lower beta.  That annealing can reach a
     lower objective than the cold restarts, which can stay in a higher
-    local minimum; it is off by default.
+    local minimum; it is off by default.  A grid of fewer than 2 points, a
+    non-positive or non-finite beta, or ``max_iters`` or ``restarts`` below
+    1 is rejected before any point is solved.
 
-    Without ``warm_start`` the points are independent, so ``workers``
-    processes give the same result; the pool never holds more processes
-    than grid points or CPUs, and 0 or 1 worker runs serially.  It does not
-    pay: on 2 cores, the 25-point ``noise-0.2`` sweep at seed 1, run end to
-    end as a command, took a median 0.46 s with two workers against 0.38 s
-    serially, slower in 8 of 8 alternating runs.  No command sets
-    ``workers``; it stays only for the benchmark probes in
-    ``bench/tracing.py`` that call it and goes once they are retired.  A
-    grid of fewer than 2 points, a non-positive or non-finite beta, or
-    ``max_iters`` or ``restarts`` below 1 is rejected before any point is
-    solved.
+    ``workers`` is ignored: it stays only because the benchmark's traced
+    run passes ``workers=2``, and goes with ROADMAP item 1, as
+    ``estimators.minimize_beta(seed=)`` does.
 
     ``detected_beta0`` and ``onset_below_grid`` are :func:`detect_onset`
     of the points' objectives.  ``protocol`` records its tolerance
@@ -452,41 +431,26 @@ def sweep(
         raise ValidationError("beta grid must be positive and finite")
     if np.any(np.diff(betas) <= 0.0):
         raise ValidationError("beta grid must be strictly ascending")
-    if workers is not None and workers < 0:
-        raise ValidationError(f"workers must be non-negative, got {workers}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
     if z_card is None:
         z_card = default_z_card(joint)
-    distinct_rows = joint.merged[0].shape[0]  # before the pool pickles joint
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(betas))
-
-    # the fork start method launches every worker up front
-    workers = min(workers or 1, len(betas), os.cpu_count() or 1)
-    if workers > 1 and not warm_start:
-        # imported here so that the serial path never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [
-            (joint, float(beta), z_card, child, max_iters, restarts)
-            for beta, child in zip(betas, children)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_task, tasks))
-    else:
-        points = [None] * len(betas)
-        prev = None
-        for i in reversed(range(len(betas))) if warm_start else range(len(betas)):
-            beta = float(betas[i])
-            enc = solve(joint, beta, z_card, seed=children[i], max_iters=max_iters,
-                        restarts=restarts, init_probs=prev)
-            points[i] = _sweep_point(beta, enc)
-            if warm_start:
-                prev = enc.probs
+    points = [None] * len(betas)
+    prev = None
+    for i in reversed(range(len(betas))) if warm_start else range(len(betas)):
+        beta = float(betas[i])
+        enc = solve(joint, beta, z_card, seed=children[i], max_iters=max_iters,
+                    restarts=restarts, init_probs=prev)
+        d = enc.diagnostics
+        points[i] = SweepPoint(beta, d["i_xz"], d["i_yz"], enc.objective, enc.converged,
+                               enc.iterations, d["restart"], d["max_objective_increase"])
+        if warm_start:
+            prev = enc.probs
 
     detected, below_grid = detect_onset(betas, [p.objective for p in points])
     protocol = {
@@ -500,7 +464,7 @@ def sweep(
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],
-        "distinct_rows": distinct_rows,
+        "distinct_rows": joint.merged[0].shape[0],
         # first of the points with the most solver iterations: where the
         # iteration slows down most, next to a transition
         "slowdown_peak_beta": points[int(np.argmax([p.iterations for p in points]))].beta,

@@ -64,6 +64,22 @@ def test_suite_keywords_bind(tracing, module, name):
     inspect.signature(fn).bind_partial(**dict.fromkeys(SUITE_KEYWORDS[module, name]))
 
 
+#: the per-layer metrics that the traced run's replay and import probes
+#: fill, not ``tracing.suite``
+_NOT_FROM_SUITE = {"import.numpy_s", "import.scipy_special_s", "import.ibonset_self_s",
+                   "cli.self_s", "trace.overhead_s"}
+
+
+def test_traced_probe_suite_runs_without_unexpected_failures(tracing, tmp_path):
+    # the suite passes keywords the library ignores (minimize_beta(seed=),
+    # sweep(workers=), subset_search(variant=)) and times each sweep point
+    # through solver.solve; a change that broke any of them would break
+    # `bench/run.py --trace 1` without failing a test
+    out, _, unexpected = tracing.suite(1, tmp_path)
+    assert unexpected == []
+    assert set(tracing.PER_LAYER) - _NOT_FROM_SUITE <= set(out)
+
+
 def test_workload_commands_parse(workloads, tmp_path):
     parser = cli.build_parser()
     for workload in workloads.WORKLOADS:

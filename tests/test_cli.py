@@ -167,6 +167,41 @@ def test_estimate_subset_reads_a_table_with_an_empty_label(tmp_path, body):
     assert _read_json(out)["estimates"][0]["value"] == pytest.approx(91.0 / 9.0, rel=1e-12)
 
 
+def test_command_prints_a_library_warning_as_a_warning_line(tmp_path):
+    # the pruning warning once printed as "<string>:4: UserWarning: ...",
+    # a line in the dataclass-generated __init__
+    path = tmp_path / "cond.csv"
+    path.write_text("y0,y1,y2\n0.5,0.5,0\n0.2,0.8,0\n")
+    proc = _python("-m", "ibonset.cli", "estimate", "--cond", str(path), cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: pruned 1 zero-mass rows/columns from joint table\n"
+
+
+def test_class_conditional_route_reads_a_spec_with_an_observed_label_that_never_occurs(
+        tmp_path):
+    # the closed form once rejected this spec ("induced label marginal has a
+    # zero entry"), and sweep exited 1 from its theory lines, unwritten
+    path = tmp_path / "spec.json"
+    ibonset.save_spec_json(ibonset.noise_preset(0.2), path)
+    doc = _read_json(path)
+    doc["noise"] = [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]]
+    path.write_text(json.dumps(doc))
+    # the joint tables drop the empty label, and say so
+    for samples in ([], ["--samples", "500"]):
+        out = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="pruned 1 zero-mass"):
+            assert main(["estimate", "--spec", str(path), *samples, "--out", str(out)]) == 0
+        by_method = {e["method"]: e["value"] for e in _read_json(out)["estimates"]}
+        assert by_method["class_conditional"] == pytest.approx(25.0 / 9.0, rel=1e-12)
+    out_json, out_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    with pytest.warns(UserWarning, match="pruned 1 zero-mass"):
+        assert main(["sweep", "--spec", str(path), "--beta-points", "7",
+                     "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
+    theory = _read_json(out_json)["theory"]
+    assert theory["class_conditional"] == pytest.approx(25.0 / 9.0, rel=1e-12)
+    assert len(out_csv.read_text().splitlines()) == 8
+
+
 @pytest.mark.parametrize("case", ["cond-dir", "config-dir", "out-samples-dir", "cond-bytes"])
 def test_file_system_and_encoding_errors_exit_1(tmp_path, capsys, case):
     # each of these once escaped main as an IsADirectoryError or a
@@ -343,9 +378,8 @@ def test_estimate_rejects_tolerance_flag():
 
 
 #: modules a fresh ``import ibonset.cli`` must not load: scipy, the process
-#: pool (no command uses it; only the library's ``sweep(workers=)`` does),
-#: numpy.ma (which np.unique of labels imports) and the layers only some
-#: commands run
+#: pool (nothing in the package uses it), numpy.ma (which np.unique of
+#: labels imports) and the layers only some commands run
 _NOT_AT_IMPORT = ("scipy", "concurrent.futures.process", "numpy.ma",
                   "ibonset.solver", "ibonset.classifier")
 

@@ -126,8 +126,10 @@ def test_validation_renormalizes_within_tolerance():
 
 
 def test_zero_mass_rows_pruned_with_warning():
-    with pytest.warns(UserWarning, match="pruned"):
+    with pytest.warns(UserWarning, match="pruned") as record:
         joint = DiscreteJoint([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    # the warning names the caller's line, not the dataclass-generated __init__
+    assert record[0].filename == __file__
     assert joint.shape == (2, 2)
     np.testing.assert_array_equal(joint.probs, np.eye(2) / 2.0)
     np.testing.assert_array_equal(joint.p_x, [0.5, 0.5])

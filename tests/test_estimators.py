@@ -73,20 +73,6 @@ def oracle_enumerate_prefixes(cond, objective=oracle_subset_beta):
     return best
 
 
-def oracle_enumerate_ranges(cond):
-    """Exhaustive minimum over the contiguous strict subsets (ranges) of
-    every pivot-sorted order."""
-    n = cond.num_examples
-    best = math.inf
-    for pivot in range(cond.num_classes):
-        order = np.argsort(-cond.rows[:, pivot], kind="stable")
-        for lo in range(n):
-            for hi in range(lo + 1, n + 1):
-                if hi - lo < n:
-                    best = min(best, oracle_subset_beta(cond.rows, cond.weights, order[lo:hi]))
-    return best
-
-
 def oracle_binary_max_correlation(joint):
     """Pearson correlation of the two indicator variables; for 2x2 tables
     this is the maximum correlation."""
@@ -199,38 +185,9 @@ def test_subset_search_matches_exhaustive_prefix_oracle(rng):
         expected = oracle_enumerate_prefixes(cond)
         if not math.isfinite(expected):
             continue
-        result = subset_search(cond, variant="prefix")
+        result = subset_search(cond)
         assert result.value == pytest.approx(expected, rel=1e-12)
         _assert_subset_witness(cond, result)
-
-
-def test_subset_search_range_variant_at_least_as_tight(rng):
-    for _ in range(15):
-        cond = random_cond(rng, int(rng.integers(4, 12)), 3)
-        prefix = subset_search(cond, variant="prefix").value
-        ranged = subset_search(cond, variant="range").value
-        assert ranged <= prefix + 1e-12
-
-
-def test_subset_search_range_matches_exhaustive_range_oracle(rng):
-    for _ in range(30):
-        cond = random_cond(rng, int(rng.integers(2, 13)), int(rng.integers(2, 6)))
-        expected = oracle_enumerate_ranges(cond)
-        if math.isfinite(expected):
-            result = subset_search(cond, variant="range")
-            assert result.value == pytest.approx(expected, rel=1e-12)
-            _assert_subset_witness(cond, result)
-
-
-def test_subset_search_range_variant_large_input_consistent(rng):
-    # exercises the coordinate-descent path (N above the exhaustive cutoff):
-    # the reported subset must achieve the reported value
-    for trial in range(5):
-        cond = random_cond(rng, 1000, 3)
-        result = subset_search(cond, variant="range")
-        _assert_subset_witness(cond, result)
-        prefix = subset_search(cond, variant="prefix").value
-        assert result.value <= prefix + 1e-12
 
 
 def test_subset_search_excludes_full_set_at_large_n():
@@ -256,11 +213,6 @@ def test_subset_search_handles_large_inputs(rng):
     assert value == pytest.approx(TWO_CLUSTER_BETA, rel=0.02)
 
 
-def test_subset_search_unknown_variant():
-    with pytest.raises(ValidationError):
-        subset_search(two_cluster_cond(0.2), variant="zigzag")
-
-
 # ---------------------------------------------------------------------------
 # class-conditional closed form
 # ---------------------------------------------------------------------------
@@ -281,6 +233,17 @@ def test_class_conditional_identity_noise_is_one():
 def test_class_conditional_independent_noise():
     with pytest.raises(IndependenceError):
         class_conditional_beta([[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_class_conditional_ignores_an_observed_label_that_never_occurs():
+    # p(y) = 0 for the third label, which was rejected as a zero entry of
+    # the label marginal; the value is the two-label table's 25/9
+    noise = [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]]
+    est = class_conditional_beta(noise)
+    assert est.value == pytest.approx(25.0 / 9.0, rel=1e-12)
+    with pytest.warns(UserWarning, match="pruned 1 zero-mass"):
+        compact = joint_from_conditional(ConditionalMatrix(noise))
+    assert certify(compact, est) == pytest.approx(est.value, rel=1e-12)
 
 
 def test_class_conditional_reports_per_class():
@@ -632,7 +595,6 @@ def _assert_routes_certified(cond, noise=None, prior=None):
     joint = joint_from_conditional(cond)
     checks = [(joint, est) for est in (
         subset_search(cond),
-        subset_search(cond, variant="range"),
         info_density_beta(cond),
         minimize_beta(joint),
         max_correlation_beta(joint),

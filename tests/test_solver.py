@@ -1,9 +1,7 @@
-import concurrent.futures
 import copy
 import csv
 import dataclasses
 import math
-import os
 import pickle
 
 import numpy as np
@@ -212,55 +210,6 @@ def test_sweep_x_permutation_same_detection():
             b = sweep(shuffled, grid, seed=6)
             assert a.detected_beta0 == b.detected_beta0
             assert a.points == b.points
-
-
-def test_sweep_parallel_matches_serial():
-    joint = two_cluster_joint(0.2)
-    grid = np.geomspace(1.5, 4.5, 8)
-    serial = sweep(joint, grid, seed=7, restarts=2)
-    parallel = sweep(joint, grid, seed=7, restarts=2, workers=2)
-    for ps, pp in zip(serial.points, parallel.points):
-        assert ps == pp
-
-
-@pytest.mark.parametrize("workers, cpus, expected", [
-    (1000, 64, [8]),      # no more processes than grid points
-    (1000, 3, [3]),       # nor than CPUs
-    (1000, None, []),     # an unknown CPU count runs serially
-    (2, 64, [2]),
-    (1, 64, []),
-    (0, 64, []),
-])
-def test_sweep_pool_is_bounded(monkeypatch, workers, cpus, expected):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    joint = two_cluster_joint(0.2)
-    grid = np.geomspace(1.5, 4.5, 8)
-    result = sweep(joint, grid, seed=7, restarts=1, workers=workers)
-    assert sizes == expected
-    assert result.points == sweep(joint, grid, seed=7, restarts=1).points
-
-
-def test_sweep_rejects_negative_workers():
-    with pytest.raises(ValidationError, match="workers"):
-        sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 8), workers=-1)
 
 
 def test_sweep_warm_start_smoke():
