@@ -230,28 +230,27 @@ def _cmd_gen(config) -> int:
     return _EXIT_OK
 
 
-#: method name -> estimator of a problem under a config; None when the
-#: estimator does not apply to the input (the class-conditional closed form
-#: needs the noise table of a mixture spec or preset)
+#: method name -> estimator of a problem, None when it does not apply (the
+#: class-conditional closed form needs the noise table of a spec or preset)
 _ESTIMATORS = {
-    "subset": lambda problem, config: estimators.subset_search(problem.cond),
-    "class-conditional": lambda problem, config: (
+    "subset": lambda problem: estimators.subset_search(problem.cond),
+    "class-conditional": lambda problem: (
         None if problem.noise is None
         else estimators.class_conditional_beta(problem.noise, problem.prior)
     ),
-    "functional": lambda problem, config: estimators.minimize_beta(problem.joint),
-    "maxcorr": lambda problem, config: estimators.max_correlation_beta(problem.joint),
-    "info-density": lambda problem, config: estimators.info_density_beta(problem.cond),
+    "functional": lambda problem: estimators.minimize_beta(problem.joint),
+    "maxcorr": lambda problem: estimators.max_correlation_beta(problem.joint),
+    "info-density": lambda problem: estimators.info_density_beta(problem.cond),
 }
 
 
-def _theory(problem: _Problem, names, config) -> dict[str, float]:
+def _theory(problem: _Problem, names) -> dict[str, float]:
     """Values of the named estimators keyed by method, leaving out those
     that do not apply to the input or find X and Y independent."""
     theory = {}
     for name in names:
         try:
-            est = _ESTIMATORS[name](problem, config)
+            est = _ESTIMATORS[name](problem)
         except IndependenceError:
             continue
         if est is not None:
@@ -272,7 +271,7 @@ def _cmd_estimate(config) -> int:
             f"unknown method {unknown[0]!r}; choose from {', '.join(_ESTIMATORS)} or all"
         )
     results = [
-        est for est in (_ESTIMATORS[name](problem, config) for name in methods)
+        est for est in (_ESTIMATORS[name](problem) for name in methods)
         if est is not None
     ]
     if not results:
@@ -325,7 +324,7 @@ def _cmd_sweep(config) -> int:
         warm_start=config["warm_start"],
     )
 
-    theory = _theory(problem, ("subset", "class-conditional", "maxcorr"), config)
+    theory = _theory(problem, ("subset", "class-conditional", "maxcorr"))
 
     for p in result.points:
         flag = "" if p.converged else "  [not converged]"
@@ -382,7 +381,7 @@ def _table_row(rho: float, config) -> tuple[dict, list[float]]:
     class-conditional input, so every column is deterministic."""
     spec = synth.noise_preset(rho)
     problem = _spec_problem(spec)
-    theory = _theory(problem, ("class-conditional", "subset", "functional"), config)
+    theory = _theory(problem, ("class-conditional", "subset", "functional"))
     row: dict[str, float | None] = {
         "noise_rate": rho,
         "class_conditional": theory.get("class_conditional"),
@@ -446,9 +445,11 @@ def _cmd_table(config) -> int:
 
 def _cmd_maxcorr(config) -> int:
     problem = _load_problem(config)
-    rho = estimators.max_correlation(problem.joint)
-    # max_correlation_beta's independence rule: 1/rho^2 of roundoff is no threshold
-    inverse = None if rho * rho <= estimators.DENOM_TOL else 1.0 / (rho * rho)
+    try:
+        est = estimators.max_correlation_beta(problem.joint)
+        rho, inverse = est.diagnostics["rho_m"], est.value
+    except IndependenceError:
+        rho, inverse = estimators.max_correlation(problem.joint), None
     print(f"rho_m           = {rho:.10f}")
     print(f"rho_m^2         = {rho * rho:.10f}")
     if inverse is None:

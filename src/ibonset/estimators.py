@@ -113,11 +113,6 @@ def _info_density_ratio(mass, label_dist, p_y):
                      where=den > DENOM_TOL)
 
 
-def _require_two_values(num_x: int, num_y: int) -> None:
-    if num_x < 2 or num_y < 2:
-        raise IndependenceError("X or Y takes a single value, so they are independent")
-
-
 def _best_subset(cond: ConditionalMatrix, objective, method: Method) -> BetaEstimate:
     """Minimum of ``objective`` over the strict prefixes of every pivot
     order, witnessed by the indicator of the minimizing prefix.
@@ -129,7 +124,8 @@ def _best_subset(cond: ConditionalMatrix, objective, method: Method) -> BetaEsti
     but not to 1 at large N, and its ratio is then noise.  Ties go to the
     shortest prefix and then to the lowest pivot.
     """
-    _require_two_values(cond.num_examples, cond.num_classes)
+    if cond.num_examples < 2 or cond.num_classes < 2:
+        raise IndependenceError("X or Y takes a single value, so they are independent")
     best = None
     for pivot in range(cond.num_classes):
         order = np.argsort(-cond.rows[:, pivot], kind="stable")

@@ -255,7 +255,9 @@ def solve(
 def _fixed_point(
     stack: np.ndarray, joint: DiscreteJoint, beta: float, max_iters: int, tol: float
 ):
-    """Run the safeguarded-accelerated iteration on a stack of encoders.
+    """Run the safeguarded-accelerated iteration on a stack of encoders,
+    each cycle ending in one masked step: a member takes the extrapolated
+    update where its free energy is no higher than the plain update's.
 
     Returns per-restart final tables, map evaluations, convergence flags and
     the largest free-energy rise between accepted updates.
@@ -296,15 +298,11 @@ def _fixed_point(
     increase = np.zeros(n)
     evals = 0
 
-    def record(free, mask=None):
+    def record(free, mask=True):
         # a member left out by ``mask`` keeps its last free energy and rise
         nonlocal last_free, increase
-        if mask is None or mask.all():
-            increase = np.maximum(increase, free - last_free)
-            last_free = free
-        elif mask.any():
-            increase = np.maximum(increase, np.where(mask, free - last_free, 0.0))
-            last_free = np.where(mask, free, last_free)
+        increase = np.maximum(increase, np.where(mask, free - last_free, 0.0))
+        last_free = np.where(mask, free, last_free)
 
     # log(0) marks an empty cluster; an extrapolation that overflows yields a
     # non-finite free energy and is rejected by the comparison below
@@ -352,11 +350,8 @@ def _fixed_point(
             evals += 1
             ok = stable_free <= plain_free
             record(stable_free, ok)
-            if ok.all():
-                cur, cur_log = stable, log3
-            elif ok.any():
-                cur = np.where(ok[:, None, None], stable, plain)
-                cur_log = np.where(ok[:, None, None], log3, log2)
+            cur = np.where(ok[:, None, None], stable, plain)
+            cur_log = np.where(ok[:, None, None], log3, log2)
 
     out_probs[active] = cur
     out_iters[active] = evals

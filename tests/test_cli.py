@@ -1051,12 +1051,16 @@ def test_maxcorr_preset(tmp_path, capsys):
 
 def test_maxcorr_independent_input(tmp_path, capsys):
     # rho_m is roundoff here; 1/rho_m^2 was once printed and reported as a
-    # threshold of about 1.5e31, while estimate found the input independent
+    # threshold of about 1.5e31, while estimate found the input independent;
+    # a one-row table has rho_m exactly 0
     out = tmp_path / "mc.json"
-    assert main(["estimate", "--preset", "overlap-0", "--method", "maxcorr"]) == 2
-    assert main(["maxcorr", "--preset", "overlap-0", "--out", str(out)]) == 0
-    assert "1/rho_m^2       = inf (independent)" in capsys.readouterr().out
-    assert _read_json(out)["beta_lower_inverse"] is None
+    one_row = tmp_path / "one_row.csv"
+    save_conditional_csv(ConditionalMatrix([[0.3, 0.7]]), one_row)
+    for source in (["--preset", "overlap-0"], ["--cond", str(one_row)]):
+        assert main(["estimate", *source, "--method", "maxcorr"]) == 2
+        assert main(["maxcorr", *source, "--out", str(out)]) == 0
+        assert "1/rho_m^2       = inf (independent)" in capsys.readouterr().out
+        assert _read_json(out)["beta_lower_inverse"] is None
 
 
 def test_out_dir_env_redirect(tmp_path, monkeypatch):

@@ -26,6 +26,8 @@ from ibonset import (
     solver,
     sweep,
 )
+from ibonset.cli import _task_seed
+
 from conftest import random_joint, two_cluster_joint
 
 DIAG = DiscreteJoint([[0.5, 0.0], [0.0, 0.5]])
@@ -658,13 +660,24 @@ def assert_bitwise_equal(got, want):
     assert got.diagnostics == want.diagnostics
 
 
+# the grids of the benchmark's two sweeps; "sweep" below solves every point
+# at the seed that `sweep --seed 1` derives for it
+SWEEP_GRIDS = {0.2: np.geomspace(1.5, 4.5, 25), 0.0: np.geomspace(0.82, 1.45, 25)}
+
+
 @pytest.mark.parametrize("rate, betas", [
     (0.2, (1.5, 2.6, 2.85, 3.5, 4.5)),
     (0.0, (0.82, 0.99, 1.02, 1.1, 1.45)),
+    (0.2, "sweep"),
+    (0.0, "sweep"),
 ])
 def test_solve_is_bitwise_the_reference_on_presets(rate, betas):
     joint = discretize(noise_preset(rate), bins_per_axis=32)
-    for seed, beta in enumerate(betas):
+    seeds = range(len(betas))
+    if betas == "sweep":
+        betas = SWEEP_GRIDS[rate]
+        seeds = _task_seed(1, 1).spawn(len(betas))
+    for seed, beta in zip(seeds, betas):
         got = solve(joint, beta, seed=seed)
         assert_bitwise_equal(got, reference_solve(joint, beta, 4, seed=seed))
 
