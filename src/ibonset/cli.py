@@ -375,11 +375,10 @@ def _check_monotone(non_monotone: list[tuple[str, list[float]]]) -> int:
     return _EXIT_NON_MONOTONE
 
 
-def _table_row(rho: float, config) -> tuple[dict, list[float]]:
-    """One noise-table row of ``noise-<rho>`` and the betas at which its
-    sweep column's free energy rose; the compact two-row table is the exact
-    class-conditional input, so every column is deterministic."""
-    spec = synth.noise_preset(rho)
+def _table_row(rho: float, spec, config) -> tuple[dict, list[float]]:
+    """One noise-table row of ``spec`` (``noise-<rho>``) and the betas at
+    which its sweep column's free energy rose; the compact two-row table is
+    the exact class-conditional input, so every column is deterministic."""
     problem = _spec_problem(spec)
     theory = _theory(problem, ("class-conditional", "subset", "functional"))
     row: dict[str, float | None] = {
@@ -418,13 +417,14 @@ def _table_row(rho: float, config) -> tuple[dict, list[float]]:
 def _cmd_table(config) -> int:
     if not config["rates"]:
         raise ValidationError("table: rates must list at least one flip rate")
-    # read only by --sweep-column, but checked before any row is computed
+    # before any row: check beta_points (read only by --sweep-column) and every rate
     _check_beta_points(config["beta_points"])
     if config["sweep_column"]:
         from . import solver
 
         solver.check_grid_points(config["beta_points"])
-    results = [_table_row(rho, config) for rho in config["rates"]]
+    specs = [synth.noise_preset(rho) for rho in config["rates"]]
+    results = [_table_row(rho, spec, config) for rho, spec in zip(config["rates"], specs)]
     rows = [row for row, _ in results]
     columns = list(rows[0].keys())
     header = "  ".join(f"{c:>22}" for c in columns)

@@ -172,11 +172,9 @@ def conditional_from_joint(joint: DiscreteJoint) -> ConditionalMatrix:
 
 def xlogy(x, y) -> np.ndarray:
     """Elementwise x log(y) with 0 log(y) := 0, for non-negative inputs."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    out = np.zeros(x.shape)
-    nz = x != 0.0
-    out[nz] = x[nz] * np.log(y[nz])
-    return out
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log(0) cells are masked
+        return np.where(x != 0.0, x * np.log(y), 0.0)
 
 
 def rel_entr(x, y) -> np.ndarray:

@@ -224,11 +224,14 @@ def _centered_scores(joint: DiscreteJoint, scores) -> tuple[np.ndarray, float]:
         raise ValidationError("scores length does not match joint rows")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores contain non-finite entries")
+    top = max(1.0, float(np.abs(s).max()))
+    if top > 1e150:  # squares would overflow: rescale by a power of two, exactly
+        s, top = np.ldexp(s, -math.frexp(top)[1]), math.frexp(top)[0]
     # centering first keeps the quadratic forms non-negative and makes
     # affine invariance hold to roundoff instead of suffering cancellation
     centered = s - float(joint.p_x @ s)
     var = float(joint.p_x @ (centered * centered))
-    if var <= DENOM_TOL * max(1.0, float(np.abs(s).max())) ** 2:
+    if var <= DENOM_TOL * top**2:
         raise InvalidDirectionError("scores are constant on the support")
     return centered, var
 

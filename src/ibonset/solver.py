@@ -88,7 +88,7 @@ class SweepResult:
                 )
             # the trivial encoder achieves 0, so a converged minimizer can
             # never end above it; points cut off mid-descent may
-            if p.converged and p.objective > 1e-9:
+            if p.converged and p.objective > ONSET_LEARNED_TOL:
                 raise ValidationError(
                     f"objective {p.objective} at beta={p.beta} exceeds the "
                     "trivial solution's 0"
@@ -135,11 +135,17 @@ def info_plane(encoder, joint: DiscreteJoint) -> tuple[float, float]:
     return float(i_xz[0]), float(i_yz[0])
 
 
-def default_z_card(joint: DiscreteJoint) -> int:
-    """Representation cardinality used when none is given:
-    max(2, min(|X|, 2|Y|)), so that a one-row table still gets the two
-    clusters :func:`solve` needs."""
-    return max(2, min(joint.shape[0], 2 * joint.shape[1]))
+def _settings(joint: DiscreteJoint, z_card: int | None, max_iters: int) -> int:
+    """Check the settings :func:`solve` and :func:`sweep` share and return
+    ``z_card``, which defaults to max(2, min(|X|, 2|Y|)) so that a one-row
+    table still gets the two clusters the solver needs."""
+    if z_card is None:
+        z_card = max(2, min(joint.shape[0], 2 * joint.shape[1]))
+    if z_card < 2:
+        raise ValidationError(f"z_card must be at least 2, got {z_card}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    return z_card
 
 
 def solve(
@@ -199,14 +205,9 @@ def solve(
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValidationError(f"beta must be positive, got {beta!r}")
-    if z_card is None:
-        z_card = default_z_card(joint)
-    if z_card < 2:
-        raise ValidationError(f"z_card must be at least 2, got {z_card}")
+    z_card = _settings(joint, z_card, max_iters)
     if restarts < 0:
         raise ValidationError("restarts must be non-negative")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
     merged, group = joint.merged
     n_t = merged.shape[0]
@@ -406,8 +407,8 @@ def sweep(
     (``init_probs``) of the next lower beta.  That annealing can reach a
     lower objective than the cold restarts, which can stay in a higher
     local minimum; it is off by default.  A grid of fewer than 2 points, a
-    non-positive or non-finite beta, or ``max_iters`` or ``restarts`` below
-    1 is rejected before any point is solved.
+    non-positive or non-finite beta, a ``z_card`` below 2, or ``max_iters``
+    or ``restarts`` below 1 is rejected before any point is solved.
 
     ``workers`` is ignored: it stays only because the benchmark's traced
     run passes ``workers=2``, and goes with ROADMAP item 1, as
@@ -426,12 +427,9 @@ def sweep(
         raise ValidationError("beta grid must be positive and finite")
     if np.any(np.diff(betas) <= 0.0):
         raise ValidationError("beta grid must be strictly ascending")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    z_card = _settings(joint, z_card, max_iters)
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
-    if z_card is None:
-        z_card = default_z_card(joint)
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(betas))

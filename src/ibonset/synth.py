@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint, _write_csv_table
+from .dist import STOCHASTIC_ATOL, ConditionalMatrix, DiscreteJoint, _write_csv_table
 from .errors import ValidationError
 
 
@@ -77,7 +77,7 @@ class MixtureSpec:
         if np.any(ids != np.round(ids)):
             raise ValidationError(f"component class_id must be integers, got {ids.tolist()}")
         total = sum(weights.tolist())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > STOCHASTIC_ATOL:
             raise ValidationError(f"component weights sum to {total!r}, expected 1")
         weights = weights / total
         ids = ids.astype(int)
@@ -89,7 +89,7 @@ class MixtureSpec:
             noise = _finite(noise, "noise (confusion table)")
             if noise.ndim != 2 or noise.shape[0] != n_classes:
                 raise ValidationError("confusion table rows must match class count")
-            if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > 1e-9):
+            if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > STOCHASTIC_ATOL):
                 raise ValidationError("confusion rows must be stochastic")
             noise = noise / noise.sum(axis=1, keepdims=True)
         for name, value in (("means", means), ("variances", variances),

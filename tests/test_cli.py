@@ -872,7 +872,9 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
     # positive but too few for the sweep: also trained a classifier first
     (["--learned", "--sweep-column", "--rates", "0.1,0.2", "--samples", "4000",
       "--beta-points", "1"], "beta grid must be one-dimensional with >= 2 points"),
-], ids=["plain", "learned-sweep-column", "learned-sweep-1-point"])
+    # a rate outside [0, 1]: trained the 0.1 row's classifier first
+    (["--learned", "--rates", "0.1,1.5", "--samples", "4000"], "flip rate must lie in [0, 1]"),
+], ids=["plain", "learned-sweep-column", "learned-sweep-1-point", "learned-bad-rate"])
 def test_table_negative_beta_points_exits_1_before_any_row(
     tmp_path, capsys, monkeypatch, argv, message
 ):
@@ -1039,6 +1041,15 @@ def test_table_learned_column_is_pinned_end_to_end(tmp_path):
                  "--seed", "1", "--out", str(out)])
     assert code == 0
     assert _read_json(out)["rows"][0]["subset_learned_posterior"] == 2.951797044198628
+
+
+def test_table_learned_column_of_one_class_is_a_null_cell(tmp_path, capsys):
+    # a single sample has one class, so the learned route has no threshold
+    out = tmp_path / "table.json"
+    assert main(["table", "--learned", "--rates", "0.2", "--samples", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "-"
+    assert _read_json(out)["rows"][0]["subset_learned_posterior"] is None
 
 
 def test_maxcorr_preset(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +281,20 @@ def test_scores_two_cluster_indicator_value():
 def test_scores_constant_rejected():
     with pytest.raises(InvalidDirectionError):
         beta_for_scores(two_cluster_joint(0.2), [3.0, 3.0])
+
+
+def test_scores_of_huge_magnitude_give_the_unit_scale_value():
+    # squaring them raised a bare OverflowError
+    spec = noise_preset(0.2)
+    joint = joint_from_conditional(ConditionalMatrix(spec.noise, spec.class_priors()))
+    for unit, huge in (([1.0, 0.0], [1e200, 0.0]), ([-1.0, 1.0], [-1e300, 1e300]),
+                       ([0.0, 1.0], [-1e160, 0.0]), ([-1.0, 1.0], [-1.79e308, 1.79e308])):
+        assert beta_for_scores(joint, huge) == pytest.approx(
+            beta_for_scores(joint, unit), rel=1e-12)
+        direction = onset_correction(joint, huge)
+        expected = onset_correction(joint, unit)
+        np.testing.assert_allclose(direction / np.abs(direction).max(),
+                                   expected / np.abs(expected).max(), rtol=1e-12)
 
 
 def test_scores_indicator_consistency_with_subsets(rng):
@@ -671,3 +686,34 @@ def test_certify_reproduces_subset_witnesses_on_extreme_tables(n, c, seed):
     assert functional.value == pytest.approx(maxcorr.value, rel=1e-11)
     assert subset.value >= functional.value * (1.0 - 1e-9)
 
+
+@pytest.mark.parametrize("n, c", [
+    (2, 2), (3, 10), (40, 3), (700, 10), (5000, 2), (20_000, 6), (100_000, 10),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_routes_are_permutation_invariant_on_extreme_tables(n, c, seed):
+    cond = _extreme_cond(n, c, seed)
+    order = np.random.default_rng(seed + 100).permutation(n)
+    permuted = ConditionalMatrix(cond.rows[order], cond.weights[order])
+    for route in (subset_search, info_density_beta):
+        assert route(permuted).value == pytest.approx(route(cond).value, rel=1e-12)
+    joint, permuted_joint = joint_from_conditional(cond), joint_from_conditional(permuted)
+    for route in (max_correlation_beta, minimize_beta):
+        assert route(permuted_joint).value == pytest.approx(route(joint).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [2, 10])
+def test_routes_allocate_linear_memory_on_extreme_tables(c):
+    # each route's peak stays within a fixed number of N x C float64 tables
+    n = 100_000
+    cond = _extreme_cond(n, c, 0)
+    joint = joint_from_conditional(cond)
+    for route, table in ((subset_search, cond), (info_density_beta, cond),
+                         (max_correlation_beta, joint), (minimize_beta, joint)):
+        tracemalloc.start()
+        try:
+            route(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * c * 8, (route.__name__, peak / (n * c * 8))

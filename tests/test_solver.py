@@ -778,6 +778,16 @@ def test_max_iters_below_one_rejected_before_any_point(monkeypatch, max_iters):
         sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), max_iters=max_iters)
 
 
+@pytest.mark.parametrize("z_card", [1, 0])
+def test_z_card_below_two_rejected_before_any_point(monkeypatch, z_card):
+    # the first solve raised it, after the other settings had been checked
+    with pytest.raises(ValidationError, match=f"z_card must be at least 2, got {z_card}"):
+        solve(two_cluster_joint(0.2), 3.0, z_card)
+    monkeypatch.setattr(solver, "solve", _no_solve)
+    with pytest.raises(ValidationError, match=f"z_card must be at least 2, got {z_card}"):
+        sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), z_card)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])
 def test_sweep_rejects_non_positive_or_non_finite_beta_before_any_point(monkeypatch, bad):
     monkeypatch.setattr(solver, "solve", _no_solve)
