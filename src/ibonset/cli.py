@@ -147,8 +147,8 @@ def _task_seed(seed: int, index: int) -> np.random.SeedSequence:
 # ---------------------------------------------------------------------------
 
 class _Problem:
-    """A resolved estimation input: conditional table, joint table, and the
-    class-conditional structure when it is known exactly."""
+    """A resolved estimation input: conditional table, joint table, and a
+    mixture's noise table and class priors when it has them."""
 
     def __init__(self, cond, joint, noise=None, prior=None):
         self.cond = cond
@@ -173,32 +173,24 @@ _SPEC_READERS = {"spec": synth.load_spec_json, "preset": synth.get_preset}
 
 
 def _spec_problem(spec: synth.MixtureSpec, *, samples: int | None = None, seed: int = 0,
-                  bins: int = 32, need_joint_table: bool = False) -> _Problem:
-    """The exact estimation input of a mixture spec.
-
-    With ``samples`` set, analytic posteriors of that many sampled points;
-    otherwise the compact class-conditional table when noise is present, or
-    the discretized joint when it is not (or when a joint table is
-    required, as for sweeps).
-    """
-    # the discretizer's rule, on every route: only one of them reads bins
+                  bins: int = 32) -> _Problem:
+    """The estimation input of a mixture spec: the analytic posteriors of
+    ``samples`` sampled points or, without ``samples``, its joint table
+    binned at ``bins`` per axis, the one ``sweep`` solves."""
+    # the discretizer's rule, also where sampled posteriors leave bins unread
     if bins < 1:
         raise ValidationError("bins_per_axis must be at least 1")
-    noise, prior = spec.noise, spec.class_priors()
-    if samples is not None:
+    if samples is None:
+        joint = synth.discretize(spec, bins_per_axis=bins)
+        cond = dist.conditional_from_joint(joint)
+    else:
         points = synth.sample(spec, samples, seed=_task_seed(seed, 0)).points
         cond = synth.analytic_posterior(spec, points)
-    elif noise is not None and not need_joint_table:
-        # rows take one distinct value per true class, so the confusion
-        # table weighted by the priors is the exact sufficient statistic
-        cond = dist.ConditionalMatrix(noise, prior)
-    else:
-        joint = synth.discretize(spec, bins_per_axis=bins)
-        return _Problem(dist.conditional_from_joint(joint), joint, noise, prior)
-    return _Problem(cond, dist.joint_from_conditional(cond), noise, prior)
+        joint = dist.joint_from_conditional(cond)
+    return _Problem(cond, joint, spec.noise, spec.class_priors())
 
 
-def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
+def _load_problem(config) -> _Problem:
     """Build the estimation input from exactly one of cond/joint/spec/preset;
     a mixture goes through :func:`_spec_problem`."""
     kind = _input_kind(config)
@@ -209,8 +201,7 @@ def _load_problem(config, *, need_joint_table: bool = False) -> _Problem:
         joint = dist.load_joint_csv(config["joint"])
         return _Problem(dist.conditional_from_joint(joint), joint)
     return _spec_problem(_SPEC_READERS[kind](config[kind]), samples=config.get("samples"),
-                         seed=config.get("seed", 0), bins=config["bins"],
-                         need_joint_table=need_joint_table)
+                         seed=config.get("seed", 0), bins=config["bins"])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,8 @@ def _cmd_gen(config) -> int:
 
 
 #: method name -> estimator of a problem, None when it does not apply (the
-#: class-conditional closed form needs the noise table of a spec or preset)
+#: class-conditional one reads a spec's true-class table, not the problem's
+#: rows: the mixture's threshold only when every true class is certain)
 _ESTIMATORS = {
     "subset": lambda problem: estimators.subset_search(problem.cond),
     "class-conditional": lambda problem: (
@@ -312,7 +304,7 @@ def _cmd_sweep(config) -> int:
 
     if config["restarts"] < 1:
         raise ValidationError(f"sweep: restarts must be at least 1, got {config['restarts']}")
-    problem = _load_problem(config, need_joint_table=True)
+    problem = _load_problem(config)
     grid = _geometric_grid(config["beta_min"], config["beta_max"], config["beta_points"])
     result = solver.sweep(
         problem.joint,
@@ -377,8 +369,8 @@ def _check_monotone(non_monotone: list[tuple[str, list[float]]]) -> int:
 
 def _table_row(rho: float, spec, config) -> tuple[dict, list[float]]:
     """One noise-table row of ``spec`` (``noise-<rho>``) and the betas at
-    which its sweep column's free energy rose; the compact two-row table is
-    the exact class-conditional input, so every column is deterministic."""
+    which its sweep column's free energy rose; the theory and sweep columns
+    read the one binned table of :func:`_spec_problem`."""
     problem = _spec_problem(spec)
     theory = _theory(problem, ("class-conditional", "subset", "functional"))
     row: dict[str, float | None] = {
@@ -405,10 +397,9 @@ def _table_row(rho: float, spec, config) -> tuple[dict, list[float]]:
     if config["sweep_column"]:
         from . import solver
 
-        joint_exact = _spec_problem(spec, need_joint_table=True).joint
         target = row["class_conditional"] or 2.0
         grid = _geometric_grid(max(0.5, target / 2.0), target * 2.0, config["beta_points"])
-        result = solver.sweep(joint_exact, grid, seed=_task_seed(config["seed"], 3))
+        result = solver.sweep(problem.joint, grid, seed=_task_seed(config["seed"], 3))
         row["observed_onset"] = result.detected_beta0
         non_monotone = result.protocol["non_monotone_betas"]
     return row, non_monotone
@@ -445,11 +436,8 @@ def _cmd_table(config) -> int:
 
 def _cmd_maxcorr(config) -> int:
     problem = _load_problem(config)
-    try:
-        est = estimators.max_correlation_beta(problem.joint)
-        rho, inverse = est.diagnostics["rho_m"], est.value
-    except IndependenceError:
-        rho, inverse = estimators.max_correlation(problem.joint), None
+    rho = estimators.max_correlation(problem.joint)
+    inverse = _theory(problem, ("maxcorr",)).get("max_correlation_inverse")
     print(f"rho_m           = {rho:.10f}")
     print(f"rho_m^2         = {rho * rho:.10f}")
     if inverse is None:

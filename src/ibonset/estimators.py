@@ -8,8 +8,8 @@ non-trivial encoder:
   take the prefix of that order minimizing the threshold ratio.
 * ``info_density_beta``: the same search for the information-density ratio
   of the subset conditional p(x|S).
-* ``class_conditional_beta``: closed form when label noise depends only on
-  the true class.
+* ``class_conditional_beta``: closed form on the true-class table when label
+  noise depends only on the true class.
 * ``beta_for_scores`` / ``minimize_beta``: the variance-ratio functional of
   an arbitrary per-example score vector, and its value at the exact
   minimizer, the maximal-correlation score vector.
@@ -188,8 +188,12 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     ``noise`` is the row-stochastic confusion table p(observed | true) and
     ``prior`` an array of true-class probabilities (uniform by default).
     Returns the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1),
-    witnessed by the indicator of the minimizing class c on the compact
-    table ``ConditionalMatrix(noise, prior)``.
+    witnessed by the indicator of the minimizing class c on the true-class
+    table ``ConditionalMatrix(noise, prior)``.  The value belongs to that
+    table: it is the threshold of a dataset only when every point's true
+    class is certain, as on well-separated mixtures.  Where the classes
+    overlap, X reaches the labels only through the true class, so by data
+    processing the dataset's threshold is at least that table's.
     """
     table = ConditionalMatrix(np.asarray(noise, dtype=float), prior)
     per_class = _beta_ratio(table.weights, table.rows, table.p_y).tolist()

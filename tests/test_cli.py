@@ -20,6 +20,8 @@ from ibonset import (
 )
 from ibonset.cli import _COMMANDS, _ESTIMATORS, _build_config, _task_seed, build_parser, main
 
+from golden_cases import OVERLAP_NOISY_SPEC
+
 TWO_CLUSTER_BETA = 1.0 / 0.36
 
 
@@ -200,6 +202,56 @@ def test_class_conditional_route_reads_a_spec_with_an_observed_label_that_never_
     theory = _read_json(out_json)["theory"]
     assert theory["class_conditional"] == pytest.approx(25.0 / 9.0, rel=1e-12)
     assert len(out_csv.read_text().splitlines()) == 8
+
+
+def test_estimate_reads_an_overlapping_noisy_spec_through_its_binned_table(tmp_path, capsys):
+    # every local route once read the true-class table of the noise and
+    # printed 2.851852, 34% below the onset a sweep finds (4.4346); the
+    # classes overlap here, so that table is coarser than the mixture's X
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(OVERLAP_NOISY_SPEC))
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--spec", str(path), "--method", "all", "--out", str(out)]) == 0
+    by_method = {e["method"]: e["value"] for e in _read_json(out)["estimates"]}
+    joint = ibonset.discretize(ibonset.load_spec_json(path))
+    cond = ibonset.conditional_from_joint(joint)
+    assert by_method["subset_search"] == ibonset.subset_search(cond).value
+    assert by_method["functional"] == ibonset.minimize_beta(joint).value
+    assert by_method["max_correlation_inverse"] == ibonset.max_correlation_beta(joint).value
+    assert by_method["info_density"] == ibonset.info_density_beta(cond).value
+    # data processing along X - true class - Y: with two classes the
+    # true-class table's threshold is at most the mixture's 1/rho^2
+    assert by_method["class_conditional"] <= by_method["max_correlation_inverse"]
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "subset_search            4.893503",
+        "class_conditional        2.851852",
+        "functional               4.321449",
+        "max_correlation_inverse  4.321449",
+        "info_density             5.569233",
+    ]
+
+
+def test_estimate_and_sweep_read_one_table(tmp_path, monkeypatch):
+    # estimate once read the 2-row true-class table of a noise preset and
+    # sweep its binned table, so their values and witnesses differed
+    witness_sizes = []
+    to_dict = ibonset.BetaEstimate.to_dict
+
+    def recording_to_dict(self):
+        witness_sizes.append(len(self.witness))
+        return to_dict(self)
+
+    monkeypatch.setattr(ibonset.BetaEstimate, "to_dict", recording_to_dict)
+    out, out_json = tmp_path / "est.json", tmp_path / "sweep.json"
+    assert main(["estimate", "--preset", "noise-0.2", "--method",
+                 "subset,class-conditional,maxcorr", "--out", str(out)]) == 0
+    assert main(["sweep", "--preset", "noise-0.2", "--beta-points", "3",
+                 "--out-csv", str(tmp_path / "sweep.csv"), "--out-json", str(out_json)]) == 0
+    estimated = {e["method"]: e["value"] for e in _read_json(out)["estimates"]}
+    assert estimated == _read_json(out_json)["theory"]
+    rows = ibonset.discretize(ibonset.noise_preset(0.2)).shape[0]
+    # the class-conditional witness lives on the true-class table
+    assert witness_sizes == [rows, 2, rows]
 
 
 @pytest.mark.parametrize("case", ["cond-dir", "config-dir", "out-samples-dir", "cond-bytes"])
@@ -668,16 +720,16 @@ def test_gen_with_two_inputs_exits_1(tmp_path, capsys, monkeypatch):
     ("sweep", ["--preset", "noise-0.2", "--beta-points", "7"]),
     ("maxcorr", ["--preset", "overlap-2.0"]),
     ("estimate", ["--preset", "overlap-1.2", "--method", "maxcorr"]),
-    # inputs that are never discretized, where bins went unread
     ("maxcorr", ["--preset", "noise-0.2"]),
     ("estimate", ["--preset", "noise-0.2", "--method", "maxcorr"]),
+    # sampled posteriors are the one input never discretized, so bins goes unread
     ("estimate", ["--preset", "noise-0.2", "--samples", "50", "--method", "maxcorr"]),
 ])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_zero_bins_exits_1(tmp_path, capsys, monkeypatch, command, argv, via):
-    # 0 once read as unset: the commands ran on a 32-bin table, exit 0; the
-    # compact noise table and sampled posteriors never read bins and printed
-    # 2.777778, exit 0
+    # 0 once read as unset: the commands ran on a 32-bin table, exit 0;
+    # sampled posteriors, the only input never discretized now, never read
+    # bins and printed 2.777778, exit 0
     monkeypatch.chdir(tmp_path)
     bins = ["--bins", "0"] if via == "flag" else _config_argv(tmp_path, {"bins": 0})
     assert main([command, *argv, *bins]) == 1
