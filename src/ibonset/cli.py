@@ -212,12 +212,11 @@ def _cmd_gen(config) -> int:
     kind = _input_kind(config)
     spec = _SPEC_READERS[kind](config[kind])
     samples = synth.sample(spec, config["n"], seed=_task_seed(config["seed"], 0))
-    synth.save_samples_csv(samples, _out_path(config["out_samples"]))
-    synth.save_spec_json(spec, _out_path(config["out_spec"]))
-    print(
-        f"wrote {len(samples)} samples to {config['out_samples']} "
-        f"(spec: {config['out_spec']})"
-    )
+    samples_path = _out_path(config["out_samples"])
+    synth.save_samples_csv(samples, samples_path)
+    spec_path = _out_path(config["out_spec"])
+    synth.save_spec_json(spec, spec_path)
+    print(f"wrote {len(samples)} samples to {samples_path} (spec: {spec_path})")
     return _EXIT_OK
 
 
@@ -306,6 +305,8 @@ def _cmd_sweep(config) -> int:
         raise ValidationError(f"sweep: restarts must be at least 1, got {config['restarts']}")
     problem = _load_problem(config)
     grid = _geometric_grid(config["beta_min"], config["beta_max"], config["beta_points"])
+    # before any point is solved, so an input a route rejects fails first
+    theory = _theory(problem, ("subset", "class-conditional", "maxcorr"))
     result = solver.sweep(
         problem.joint,
         grid,
@@ -315,8 +316,6 @@ def _cmd_sweep(config) -> int:
         restarts=config["restarts"],
         warm_start=config["warm_start"],
     )
-
-    theory = _theory(problem, ("subset", "class-conditional", "maxcorr"))
 
     for p in result.points:
         flag = "" if p.converged else "  [not converged]"

@@ -50,19 +50,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _setstate_frozen(self, state: dict) -> None:
-    """``__setstate__`` of the containers: pickle and ``copy.deepcopy`` hand
-    back writeable arrays, so every array of ``state`` (and the group index
-    of a kept ``merged``) is frozen again before it is restored."""
-    for value in state.values():
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                _freeze(item)
-    self.__dict__.update(state)
+class _Frozen:
+    """Base of the containers: frozen dataclasses whose fields are set by
+    :meth:`_store`, which makes every array among them (or in a tuple, as a
+    kept ``merged``) read-only.  Pickle and ``copy.deepcopy`` hand back
+    writeable arrays, so ``__setstate__`` stores through it too."""
+
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    _freeze(item)
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        self._store(**state)
 
 
 @dataclass(frozen=True)
-class DiscreteJoint:
+class DiscreteJoint(_Frozen):
     """Full joint probability table p(x, y), rows indexed by x.
 
     Rows or columns of exactly zero mass are pruned with a warning, so both
@@ -86,12 +92,9 @@ class DiscreteJoint:
                 stacklevel=3,
             )
             arr = arr[keep_x][:, keep_y]
-        object.__setattr__(self, "probs", _freeze(arr))
-        object.__setattr__(self, "p_x", _freeze(arr.sum(axis=1)))
         # a contiguous axis is summed pairwise, not one row at a time
-        object.__setattr__(self, "p_y", _freeze(np.ascontiguousarray(arr.T).sum(axis=1)))
-
-    __setstate__ = _setstate_frozen
+        self._store(probs=arr, p_x=arr.sum(axis=1),
+                    p_y=np.ascontiguousarray(arr.T).sum(axis=1))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,7 +115,7 @@ class DiscreteJoint:
 
 
 @dataclass(frozen=True)
-class ConditionalMatrix:
+class ConditionalMatrix(_Frozen):
     """Row-stochastic table of p(y | x_i) plus example weights p(x_i).
 
     Weights default to uniform 1/N and must be strictly positive.  ``p_y``
@@ -143,12 +146,8 @@ class ConditionalMatrix:
                 raise ValidationError("weights must be strictly positive")
             w = _unit_mass(w, "weight")
 
-        object.__setattr__(self, "rows", _freeze(rows))
-        object.__setattr__(self, "weights", _freeze(w))
         p_y = w @ rows
-        object.__setattr__(self, "p_y", _freeze(p_y / p_y.sum()))
-
-    __setstate__ = _setstate_frozen
+        self._store(rows=rows, weights=w, p_y=p_y / p_y.sum())
 
     @property
     def num_examples(self) -> int:

@@ -1,15 +1,16 @@
 """Estimators for the learnability threshold beta0 of a finite dataset.
 
-Five routes are provided, all upper bounds on (or exact values of) the
-smallest trade-off coefficient at which the bottleneck objective prefers a
-non-trivial encoder:
+Five routes are provided.  Each is an upper bound on (or the exact value
+of) the smallest trade-off coefficient at which the bottleneck objective
+prefers a non-trivial encoder on the table it runs on, which is the
+dataset's for every route but the class-conditional one:
 
 * ``subset_search``: sort examples by confidence toward a pivot class and
   take the prefix of that order minimizing the threshold ratio.
 * ``info_density_beta``: the same search for the information-density ratio
   of the subset conditional p(x|S).
 * ``class_conditional_beta``: closed form on the true-class table when label
-  noise depends only on the true class.
+  noise depends only on the true class; it bounds that table's threshold.
 * ``beta_for_scores`` / ``minimize_beta``: the variance-ratio functional of
   an arbitrary per-example score vector, and its value at the exact
   minimizer, the maximal-correlation score vector.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint, _freeze, rel_entr
+from .dist import ConditionalMatrix, DiscreteJoint, _Frozen, _prob_array, rel_entr
 from .errors import IndependenceError, InvalidDirectionError, ValidationError
 
 #: denominators at or below this are treated as "no label information"
@@ -51,17 +52,18 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class BetaEstimate:
+class BetaEstimate(_Frozen):
     """A threshold value, the method that produced it, and its witness.
 
-    Every method's value is an upper bound on beta0, finite and at least 1,
-    proved by ``witness``: a vector with one entry per row of the table the
-    method ran on.  For ``info_density`` it holds the weights t of a tilted
-    input distribution r(x) = p(x) t(x) / sum_x' p(x') t(x'), whose ratio
-    D(r || p(x)) / D(rK || p(y)) (K = p(y|x)) is the value; data processing
-    keeps that ratio at least 1.  For every other method it is a score
-    vector whose :func:`beta_for_scores` ratio is the value.  A 0/1 witness
-    is the indicator of a subset S of rows; as a tilt it gives
+    Every value is finite, at least 1, and an upper bound on the threshold
+    of the table its method ran on: beta0, or for ``class_conditional`` the
+    threshold of the true-class table.  ``witness`` proves it, with one entry
+    per row of that table.  For ``info_density`` it holds the weights t of a
+    tilted input distribution r(x) = p(x) t(x) / sum_x' p(x') t(x'), whose
+    ratio D(r || p(x)) / D(rK || p(y)) (K = p(y|x)) is the value; data
+    processing keeps that ratio at least 1.  For every other method it is a
+    score vector whose :func:`beta_for_scores` ratio is the value.  A 0/1
+    witness is the indicator of a subset S of rows; as a tilt it gives
     r = p(x | S).  :func:`certify` recomputes the value from the witness.
     """
 
@@ -76,7 +78,7 @@ class BetaEstimate:
                 f"{self.method.value} produced threshold {self.value!r}, "
                 "not a finite value of at least 1"
             )
-        object.__setattr__(self, "witness", _freeze(np.array(self.witness, dtype=float)))
+        self._store(witness=np.array(self.witness, dtype=float))
 
     def to_dict(self) -> dict:
         """The report entry; a 0/1 witness is written as the indices of its
@@ -189,16 +191,24 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     ``prior`` an array of true-class probabilities (uniform by default).
     Returns the minimum over true classes of (1/p(c) - 1) / (sum_y p(y|c)^2/p(y) - 1),
     witnessed by the indicator of the minimizing class c on the true-class
-    table ``ConditionalMatrix(noise, prior)``.  The value belongs to that
-    table: it is the threshold of a dataset only when every point's true
-    class is certain, as on well-separated mixtures.  Where the classes
-    overlap, X reaches the labels only through the true class, so by data
-    processing the dataset's threshold is at least that table's.
+    table ``ConditionalMatrix(noise, prior)`` of the classes of positive
+    prior.  The value bounds that table's threshold, which is a dataset's
+    only when every point's true class is certain, as on well-separated
+    mixtures.  Where the classes overlap, X reaches the labels only through
+    the true class, so by data processing the dataset's threshold is at
+    least that table's.
     """
-    table = ConditionalMatrix(np.asarray(noise, dtype=float), prior)
-    per_class = _beta_ratio(table.weights, table.rows, table.p_y).tolist()
+    noise = _prob_array(noise, "rows", 2)  # the table's first check, made before indexing
+    classes = np.arange(len(noise))
+    if prior is not None and np.shape(prior) == classes.shape and np.any(prior):
+        # a class of zero prior holds no point: it leaves the table like a zero-mass label
+        classes = np.flatnonzero(np.asarray(prior, dtype=float) != 0.0)
+        prior = np.asarray(prior, dtype=float)[classes]
+    table = ConditionalMatrix(noise[classes], prior)
+    per_class = np.full(len(noise), math.inf)
+    per_class[classes] = _beta_ratio(table.weights, table.rows, table.p_y)
     pivot = int(np.argmin(per_class))
-    value = per_class[pivot]
+    value = float(per_class[pivot])
     if not math.isfinite(value):
         raise IndependenceError(
             "no class shifts the label distribution; X and Y are independent"
@@ -206,10 +216,10 @@ def class_conditional_beta(noise, prior=None) -> BetaEstimate:
     return BetaEstimate(
         value=value,
         method=Method.CLASS_CONDITIONAL,
-        witness=np.arange(len(per_class)) == pivot,
+        witness=classes == pivot,
         diagnostics={
             "pivot_true_class": pivot,
-            "per_class": [v if math.isfinite(v) else None for v in per_class],
+            "per_class": [v if math.isfinite(v) else None for v in per_class.tolist()],
         },
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ConditionalMatrix, DiscreteJoint, _write_csv_table, entropy, rel_entr
+from .dist import ConditionalMatrix, DiscreteJoint, _Frozen, _write_csv_table, entropy, rel_entr
 from .errors import ValidationError
 
 _LOG_TINY = 1e-300
@@ -44,7 +44,7 @@ ONSET_LEARNED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Encoder:
+class Encoder(_Frozen):
     """Row-stochastic table p(z|x) produced by the solver, checked and
     renormalized as the rows of a :class:`ConditionalMatrix` are."""
 
@@ -56,7 +56,7 @@ class Encoder:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", ConditionalMatrix(self.probs).rows)
+        self._store(probs=ConditionalMatrix(self.probs).rows)
 
 
 @dataclass(frozen=True)

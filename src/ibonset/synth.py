@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import STOCHASTIC_ATOL, ConditionalMatrix, DiscreteJoint, _write_csv_table
+from .dist import STOCHASTIC_ATOL, ConditionalMatrix, DiscreteJoint, _Frozen, _write_csv_table
 from .errors import ValidationError
 
 
@@ -40,7 +40,7 @@ def _finite(value, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MixtureSpec:
+class MixtureSpec(_Frozen):
     """A 2D diagonal-covariance Gaussian mixture with optional label noise.
 
     Component k has mean ``means[k]`` and per-axis variances
@@ -92,11 +92,7 @@ class MixtureSpec:
             if noise.min() < 0.0 or np.any(np.abs(noise.sum(axis=1) - 1.0) > STOCHASTIC_ATOL):
                 raise ValidationError("confusion rows must be stochastic")
             noise = noise / noise.sum(axis=1, keepdims=True)
-        for name, value in (("means", means), ("variances", variances),
-                            ("weights", weights), ("class_ids", ids), ("noise", noise)):
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        self._store(means=means, variances=variances, weights=weights, class_ids=ids, noise=noise)
 
     @property
     def num_true_classes(self) -> int:
@@ -148,7 +144,7 @@ def _whole_numbers(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampleSet:
+class SampleSet(_Frozen):
     """Drawn points with both observed (possibly flipped) and true labels."""
 
     points: np.ndarray
@@ -167,11 +163,7 @@ class SampleSet:
             raise ValidationError("label arrays must match point count")
         if len(pts) and (obs.min() < 0 or true.min() < 0):
             raise ValidationError("labels must be non-negative")
-        for a in (pts, obs, true):
-            a.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "observed_labels", obs)
-        object.__setattr__(self, "true_labels", true)
+        self._store(points=pts, observed_labels=obs, true_labels=true)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -884,6 +884,55 @@ def test_sweep_bad_solver_settings_exit_1_before_solving(
     assert list(tmp_path.iterdir()) == []
 
 
+ZERO_WEIGHT_CLASS_SPEC = {
+    "components": [
+        {"mean": [-2, 0], "variances": [0.25, 0.25], "weight": 0.5, "class_id": 0},
+        {"mean": [2, 0], "variances": [0.25, 0.25], "weight": 0.5, "class_id": 1},
+        {"mean": [0, 3], "variances": [0.25, 0.25], "weight": 0.0, "class_id": 2},
+    ],
+    "noise": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+}
+
+
+def test_spec_with_a_true_class_of_zero_weight_estimates_and_sweeps(tmp_path, capsys):
+    # both exited 1 with "weights must be strictly positive" from the
+    # class-conditional route, the sweep after solving every grid point
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ZERO_WEIGHT_CLASS_SPEC))
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--spec", str(spec), "--method", "all", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "class_conditional        1.836735" in printed
+    assert "max_correlation_inverse  1.836942" in printed
+    estimates = {e["method"]: e for e in _read_json(out)["estimates"]}
+    closed = estimates["class_conditional"]
+    assert closed["value"] <= estimates["max_correlation_inverse"]["value"]
+    assert closed["diagnostics"]["pivot_true_class"] in (0, 1)
+    assert closed["diagnostics"]["per_class"][2] is None
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert main(["sweep", "--spec", str(spec), "--beta-points", "5",
+                 "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+    assert "theory[class_conditional] = 1.8367" in capsys.readouterr().out
+    assert csv_path.exists() and json_path.exists()
+
+
+def test_sweep_input_a_route_rejects_exits_1_before_solving(tmp_path, capsys, monkeypatch):
+    # the theory values were computed after every grid point was solved
+    def rejecting_route(*args, **kwargs):
+        raise ibonset.ValidationError("rejected by the route")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(ibonset.estimators, "class_conditional_beta", rejecting_route)
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--preset", "noise-0.2", "--beta-points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: rejected by the route\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_sweep_without_restarts_exits_1_before_loading(tmp_path, capsys, monkeypatch, restarts):
     # 0 used to fail with "no initialization: give init_probs or restarts
@@ -1131,6 +1180,18 @@ def test_out_dir_env_redirect(tmp_path, monkeypatch):
     assert main(["estimate", "--preset", "noise-0.2", "--method", "class-conditional",
                  "--out", "report.json"]) == 0
     assert (tmp_path / "redirected" / "report.json").exists()
+
+
+def test_gen_prints_the_paths_it_wrote_under_the_out_dir(tmp_path, monkeypatch, capsys):
+    # it printed the relative paths it was given, not the redirected ones
+    redirected = tmp_path / "redirected"
+    monkeypatch.setenv("IBONSET_OUT_DIR", str(redirected))
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--preset", "noise-0.2", "--n", "5"]) == 0
+    samples, spec = redirected / "samples.csv", redirected / "spec.json"
+    assert capsys.readouterr().out == f"wrote 5 samples to {samples} (spec: {spec})\n"
+    assert samples.exists() and spec.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["redirected"]
 
 
 def test_round_trip_preserves_estimates(tmp_path):

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ibonset
 from ibonset import (
     ConditionalMatrix,
     DiscreteJoint,
@@ -20,11 +22,27 @@ from ibonset import (
 )
 from ibonset import analytic_posterior, noise_preset, sample, save_samples_csv, save_sweep_csv, sweep
 from ibonset.cli import _task_seed
-from ibonset.dist import _read_csv_table, _write_csv_table, rel_entr, xlogy
+from ibonset.dist import _Frozen, _read_csv_table, _write_csv_table, rel_entr, xlogy
 from conftest import random_joint, two_cluster_joint
 
 # ln 2 - (-0.2 ln 0.2 - 0.8 ln 0.8), evaluated by the binary-entropy formula
 MI_TWO_CLUSTER_NATS = 0.2780719051126377 * math.log(2.0)
+
+
+def test_every_exported_frozen_container_with_arrays_keeps_them_read_only():
+    # an exported result type added later with an array field must derive
+    # from the base too, or this fails
+    containers = set()
+    for names in ibonset._EXPORTS.values():
+        for name in names:
+            cls = getattr(ibonset, name)
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__dataclass_params__.frozen
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))):
+                assert issubclass(cls, _Frozen), name
+                containers.add(name)
+    assert containers == {"DiscreteJoint", "ConditionalMatrix", "MixtureSpec", "SampleSet",
+                          "BetaEstimate", "Encoder"}
 
 
 def test_joint_from_conditional_diagonal():

@@ -247,6 +247,22 @@ def test_class_conditional_ignores_an_observed_label_that_never_occurs():
     assert certify(compact, est) == pytest.approx(est.value, rel=1e-12)
 
 
+def test_class_conditional_leaves_out_a_true_class_of_zero_prior():
+    # ConditionalMatrix(noise, prior) rejected the zero weight; the value is
+    # that of the table of the classes that hold points, and the pivot and
+    # per-class entries keep the original class indices
+    noise = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    prior = np.array([0.0, 0.5, 0.5])
+    est = class_conditional_beta(noise, prior)
+    kept = class_conditional_beta(noise[1:], prior[1:])
+    assert est.value == kept.value
+    assert est.diagnostics["pivot_true_class"] == kept.diagnostics["pivot_true_class"] + 1
+    assert est.diagnostics["per_class"] == [None, *kept.diagnostics["per_class"]]
+    assert np.array_equal(est.witness, kept.witness)
+    table = joint_from_conditional(ConditionalMatrix(noise[1:], prior[1:]))
+    assert certify(table, est) == pytest.approx(est.value, rel=1e-12)
+
+
 def test_class_conditional_reports_per_class():
     est = class_conditional_beta(symmetric_flip(0.2), [0.7, 0.3])
     assert len(est.diagnostics["per_class"]) == 2
@@ -700,6 +716,22 @@ def test_routes_are_permutation_invariant_on_extreme_tables(n, c, seed):
     joint, permuted_joint = joint_from_conditional(cond), joint_from_conditional(permuted)
     for route in (max_correlation_beta, minimize_beta):
         assert route(permuted_joint).value == pytest.approx(route(joint).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, c", [
+    (2, 2), (3, 10), (40, 3), (700, 10), (5000, 2), (20_000, 6), (100_000, 10),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_score_witnesses_are_affine_invariant_on_extreme_tables(n, c, seed):
+    # a map as (1e-6, 1e6) is left out: _centered_scores rejects the mapped
+    # scores as constant at DENOM_TOL times the square of their magnitude
+    cond = _extreme_cond(n, c, seed)
+    joint = joint_from_conditional(cond)
+    for est in (subset_search(cond), max_correlation_beta(joint), minimize_beta(joint)):
+        base = beta_for_scores(joint, est.witness)
+        for a, b in ((3.0, 0.0), (-2.5, 7.0), (1e-3, 5.0), (1e3, -3.0), (-1.0, 0.0)):
+            mapped = beta_for_scores(joint, a * est.witness + b)
+            assert mapped == pytest.approx(base, rel=1e-12), (est.method, a, b)
 
 
 @pytest.mark.parametrize("c", [2, 10])

@@ -20,7 +20,9 @@ from ibonset import (
     get_preset,
     info_plane,
     max_correlation,
+    max_correlation_beta,
     noise_preset,
+    sample,
     save_sweep_csv,
     solve,
     solver,
@@ -763,10 +765,17 @@ def test_round_trip_keeps_every_array_frozen_and_equal(round_trip):
         (merged.p_y, merged_copy.p_y), (cond.rows, cond_copy.rows),
         (cond.weights, cond_copy.weights), (cond.p_y, cond_copy.p_y),
     ]
+    # and every array of a spec, its samples, a threshold's witness and an encoder
+    spec, encoder = noise_preset(0.2), solve(joint, 3.0, seed=4)
+    for obj in (spec, sample(spec, 50, seed=0), max_correlation_beta(joint), encoder):
+        arrays = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+        copied = round_trip(obj)
+        assert arrays and type(copied) is type(obj)
+        pairs += [(want, getattr(copied, name)) for name, want in arrays.items()]
     for want, got in pairs:
         assert got is not want and not got.flags.writeable
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    assert_bitwise_equal(solve(joint_copy, 3.0, seed=4), solve(joint, 3.0, seed=4))
+    assert_bitwise_equal(solve(joint_copy, 3.0, seed=4), encoder)
 
 
 @pytest.mark.parametrize("max_iters", [0, -3])
