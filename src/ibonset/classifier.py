@@ -11,17 +11,21 @@ probe in ``bench/tracing.py``, until ROADMAP item 1 lets :func:`fit` take
 the seed directly.
 
 Training runs in fixed buffers.  All weights and biases are views into one
-flat parameter vector and all gradients into a second one, so an SGD step
-is one ``grads *= lr`` and one ``params -= grads``.  Each epoch gathers the
-shuffled inputs and one-hot targets into two fixed buffers; the batches are
-row slices of them, and every batch's views and the pass buffers of each
-batch size are built once before the first epoch.  ``loss_and_gradients``
-and ``predict_proba`` run the same forward and backward code.  No loss is
-evaluated during training and the softmax reductions go column by column,
-yet every operation rounds as in the straightforward loop: for fewer than 8
-classes the trained weights, biases and predictions are bit for bit those
-of that loop.  From 8 classes up, numpy's pairwise row sums make the last
-bit differ.
+flat parameter vector and all gradients into a second one.  The hidden
+bias is one more row of the hidden weights and the inputs carry a column of
+ones, so one matmul applies it and one gives its gradient with the
+weights'.  Probabilities are ``exp(shift) / sum``, and the output delta
+``(p - onehot) * lr / rows`` is already the step, so an update is one
+``params -= grads``: 18 numpy calls a step at two classes.  Each epoch
+gathers the shuffled inputs and one-hot targets into two fixed buffers;
+the batches are row slices of them, and every batch's views and the pass
+buffers of each batch size are built once before the first epoch.
+``fit``, ``loss_and_gradients`` and ``predict_proba`` run the same forward
+and backward code.  For fewer than 8 classes the results are bit for bit
+those of this arithmetic in fresh arrays (from 8 classes numpy's pairwise
+row sums move the last bit); against the log-softmax loop with separate
+bias adds that it replaced, at most 3e-15 relative moves on weights and
+predictions.  The tests keep both loops as references.
 """
 
 from __future__ import annotations
@@ -60,38 +64,47 @@ class MlpModel:
     input_std: np.ndarray
 
 
-def _flat_layers(sizes: list[int]):
-    """A zeroed flat vector with each layer's weights and bias as views."""
-    layers = list(zip(sizes[:-1], sizes[1:]))
-    flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
-    weights, biases, start = [], [], 0
-    for fan_in, fan_out in layers:
-        stop = start + fan_in * fan_out
-        weights.append(flat[start:stop].reshape(fan_in, fan_out))
-        biases.append(flat[stop:stop + fan_out])
-        start = stop + fan_out
-    return flat, weights, biases
+class _Layers:
+    """One flat vector, zeros or a copy of the given per-layer lists, and
+    its views: the hidden weights with the bias as one more row (``first``,
+    which a ones input column multiplies), the output weights and bias,
+    and the per-layer lists ``weights`` and ``biases``."""
+
+    def __init__(self, fan_in: int, width: int, n_classes: int, weights=(), biases=()):
+        stop = (fan_in + 1) * width
+        self.flat = np.zeros(stop + (width + 1) * n_classes)
+        self.first = self.flat[:stop].reshape(fan_in + 1, width)
+        self.out = self.flat[stop:stop + width * n_classes].reshape(width, n_classes)
+        self.out_t = self.out.T
+        self.out_bias = self.flat[stop + width * n_classes:]
+        self.weights = [self.first[:-1], self.out]
+        self.biases = [self.first[-1], self.out_bias]
+        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
+            dst[...] = src
+
+
+def _with_ones(x) -> np.ndarray:
+    """``x`` with a column of ones appended, the input of the hidden bias."""
+    return np.column_stack((x, np.ones(len(x))))
 
 
 class _Workspace:
     """The buffers of one forward and backward pass over ``rows`` examples:
-    hidden activations, class log-probabilities, the ReLU mask, the hidden
-    and output deltas, the softmax row max and row sum, and the views onto
-    them that the pass reads."""
+    hidden activations, class probabilities (the output delta once the
+    backward pass runs), the ReLU mask, the hidden delta, the softmax row
+    max and row sum, and the views onto them that the pass reads."""
 
     def __init__(self, width: int, n_classes: int, rows: int):
         self.hidden = np.empty((rows, width))
         self.hidden_t = self.hidden.T
         self.mask = np.empty((rows, width), dtype=bool)
-        self.log_probs = np.empty((rows, n_classes))
+        self.probs = np.empty((rows, n_classes))
         self.delta_hidden = np.empty((rows, width))
-        self.delta_out = np.empty((rows, n_classes))
         self.top = np.empty(rows)
         self.total = np.empty(rows)
         self.top_col = self.top[:, None]
         self.total_col = self.total[:, None]
-        self.log_prob_columns = list(self.log_probs.T)
-        self.exp_columns = list(self.delta_out.T)
+        self.prob_columns = list(self.probs.T)
 
 
 def _fold_columns(ufunc, columns, out) -> None:
@@ -104,55 +117,53 @@ def _fold_columns(ufunc, columns, out) -> None:
         ufunc(out, column, out=out)
 
 
-def _forward(ws: _Workspace, weights, biases, x) -> None:
-    """Class log-probabilities of ``x`` into ``ws.log_probs``, with the
-    hidden activations left in ``ws.hidden``."""
-    hidden = np.matmul(x, weights[0], out=ws.hidden)
-    hidden += biases[0]
+def _forward(ws: _Workspace, layers: _Layers, x) -> None:
+    """Class probabilities of the ones-augmented inputs ``x`` into
+    ``ws.probs``, with the hidden activations left in ``ws.hidden``."""
+    hidden = np.matmul(x, layers.first, out=ws.hidden)
     np.maximum(hidden, 0.0, out=hidden)
-    logits = np.matmul(hidden, weights[1], out=ws.log_probs)
-    logits += biases[1]
+    logits = np.matmul(hidden, layers.out, out=ws.probs)
+    logits += layers.out_bias
     # Row max and row sum taken column by column: on the narrow rows of
     # class logits, numpy's axis=1 reductions cost many times the
     # elementwise ops.  Below 8 columns numpy sums a row left to right, as
     # this does, so the result is bitwise the same; from 8 columns up numpy
     # sums pairwise and the last bit may differ.
-    _fold_columns(np.maximum, ws.log_prob_columns, ws.top)
+    _fold_columns(np.maximum, ws.prob_columns, ws.top)
     logits -= ws.top_col
-    # the output delta buffer holds exp(shifted) until the backward pass
-    np.exp(logits, out=ws.delta_out)
-    _fold_columns(np.add, ws.exp_columns, ws.total)
-    np.log(ws.total, out=ws.total)
-    logits -= ws.total_col
+    np.exp(logits, out=logits)
+    _fold_columns(np.add, ws.prob_columns, ws.total)
+    np.divide(logits, ws.total_col, out=logits)
 
 
-def _backward(ws: _Workspace, out_weights_t, x_t, targets, grad_w, grad_b) -> None:
-    """The exact gradients of the mean cross-entropy against one-hot
-    ``targets``, written into ``grad_w`` and ``grad_b``; reads the pass
-    :func:`_forward` left in ``ws`` and the transposed output weights."""
-    delta = np.exp(ws.log_probs, out=ws.delta_out)
+def _backward(ws: _Workspace, layers: _Layers, x_t, targets, scale, grads: _Layers) -> None:
+    """``scale`` times the gradients of the summed cross-entropy against
+    one-hot ``targets``, written into ``grads``; reads the pass
+    :func:`_forward` left in ``ws`` and overwrites its probabilities."""
+    delta = ws.probs
     # subtracting 0.0 leaves a probability unchanged, so this rounds as
     # subtracting 1.0 at each label alone
     delta -= targets
-    delta /= len(targets)
-    np.matmul(ws.hidden_t, delta, out=grad_w[1])
-    np.add.reduce(delta, axis=0, out=grad_b[1])
-    below = np.matmul(delta, out_weights_t, out=ws.delta_hidden)
+    delta *= scale
+    np.matmul(ws.hidden_t, delta, out=grads.out)
+    np.add.reduce(delta, axis=0, out=grads.out_bias)
+    below = np.matmul(delta, layers.out_t, out=ws.delta_hidden)
     below *= np.greater(ws.hidden, 0.0, out=ws.mask)
-    np.matmul(x_t, below, out=grad_w[0])
-    np.add.reduce(below, axis=0, out=grad_b[0])
+    # the ones column makes this the hidden weights' and bias's gradients
+    np.matmul(x_t, below, out=grads.first)
 
 
 def loss_and_gradients(weights, biases, x, labels):
     """Mean cross-entropy and its exact gradients for one batch, for a
     network of one hidden layer of any width."""
-    width, n_classes = weights[1].shape
-    ws = _Workspace(width, n_classes, len(x))
-    _, grad_w, grad_b = _flat_layers([x.shape[1], width, n_classes])
-    _forward(ws, weights, biases, x)
-    targets = np.eye(n_classes)[labels]
-    _backward(ws, weights[1].T, x.T, targets, grad_w, grad_b)
-    return -ws.log_probs[np.arange(len(labels)), labels].mean(), grad_w, grad_b
+    n, sizes = len(x), (x.shape[1], *weights[1].shape)
+    layers, grads = _Layers(*sizes, weights, biases), _Layers(*sizes)
+    ws = _Workspace(*sizes[1:], n)
+    augmented = _with_ones(x)
+    _forward(ws, layers, augmented)
+    loss = -np.log(ws.probs[np.arange(n), labels]).mean()
+    _backward(ws, layers, augmented.T, np.eye(sizes[2])[labels], 1.0 / n, grads)
+    return loss, grads.weights, grads.biases
 
 
 def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
@@ -169,21 +180,20 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
     mean = samples.points.mean(axis=0)
     std = samples.points.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
-    x = (samples.points - mean) / std
+    x = _with_ones((samples.points - mean) / std)
 
     rng = np.random.default_rng(cfg.seed)
-    sizes = [x.shape[1], HIDDEN, n_classes]
-    params, weights, biases = _flat_layers(sizes)
-    for w in weights:
+    layers = _Layers(len(mean), HIDDEN, n_classes)
+    for w in layers.weights:
         # scaled uniform by fan-in; biases start at zero
         bound = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    grads, grad_w, grad_b = _flat_layers(sizes)
-    out_weights_t = weights[1].T
+    grads = _Layers(len(mean), HIDDEN, n_classes)
     targets = np.eye(n_classes)[labels]
 
     # Each epoch gathers into these two buffers; every batch is a fixed
-    # row slice of them, with one workspace per batch size.
+    # row slice of them, with one workspace per batch size.  A batch's
+    # scale lr/rows turns its delta into the step itself.
     n = len(x)
     x_epoch, targets_epoch = np.empty_like(x), np.empty_like(targets)
     workspaces: dict[int, _Workspace] = {}
@@ -194,22 +204,20 @@ def fit(samples: SampleSet, config: TrainConfig | None = None) -> MlpModel:
         if rows not in workspaces:
             workspaces[rows] = _Workspace(HIDDEN, n_classes, rows)
         batches.append((workspaces[rows], x_batch, x_batch.T,
-                        targets_epoch[start:start + BATCH_SIZE]))
+                        targets_epoch[start:start + BATCH_SIZE], LEARNING_RATE / rows))
 
     for _ in range(EPOCHS):
         order = rng.permutation(n)
         # a permutation is always in range; mode="raise" would buffer the output
         np.take(x, order, axis=0, out=x_epoch, mode="clip")
         np.take(targets, order, axis=0, out=targets_epoch, mode="clip")
-        for ws, x_batch, x_batch_t, targets_batch in batches:
-            _forward(ws, weights, biases, x_batch)
-            _backward(ws, out_weights_t, x_batch_t, targets_batch, grad_w, grad_b)
-            # lr * grad, then the subtraction: the rounding of
-            # ``w -= lr * dw`` without its temporary
-            grads *= LEARNING_RATE
-            params -= grads
+        for ws, x_batch, x_batch_t, targets_batch, scale in batches:
+            _forward(ws, layers, x_batch)
+            _backward(ws, layers, x_batch_t, targets_batch, scale, grads)
+            layers.flat -= grads.flat
 
-    return MlpModel([w.copy() for w in weights], [b.copy() for b in biases], mean, std)
+    return MlpModel([w.copy() for w in layers.weights],
+                    [b.copy() for b in layers.biases], mean, std)
 
 
 def predict_proba(model: MlpModel, points) -> ConditionalMatrix:
@@ -218,7 +226,9 @@ def predict_proba(model: MlpModel, points) -> ConditionalMatrix:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(model.input_mean):
         raise ValidationError("points do not match the model's input width")
-    x = (pts - model.input_mean) / model.input_std
-    ws = _Workspace(*model.weights[1].shape, len(x))
-    _forward(ws, model.weights, model.biases, x)
-    return ConditionalMatrix(np.exp(ws.log_probs))
+    if not np.isfinite(pts).all():
+        raise ValidationError("points contain non-finite entries")
+    layers = _Layers(pts.shape[1], *model.weights[1].shape, model.weights, model.biases)
+    ws = _Workspace(*model.weights[1].shape, len(pts))
+    _forward(ws, layers, _with_ones((pts - model.input_mean) / model.input_std))
+    return ConditionalMatrix(ws.probs)

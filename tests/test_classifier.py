@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,42 +42,39 @@ def _finite_difference_grads(weights, biases, x, labels, eps=1e-6):
     return fd_w, fd_b
 
 
+def _with_ones(x):
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
 def _reference_forward(weights, biases, x):
-    activations = [x]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        activations.append(h)
-    return h @ weights[-1] + biases[-1], activations
+    """Softmax probabilities and the hidden activations, with the hidden
+    bias as one more weight row that a ones input column multiplies."""
+    first = np.vstack([weights[0], biases[0]])
+    hidden = np.maximum(_with_ones(x) @ first, 0.0)
+    shifted = hidden @ weights[1] + biases[1]
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True), hidden
 
 
-def _reference_log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _reference_loss_and_gradients(weights, biases, x, labels):
-    """The straightforward step: loss, then backpropagation, in fresh arrays."""
-    logits, activations = _reference_forward(weights, biases, x)
-    log_probs = _reference_log_softmax(logits)
+def _reference_loss_and_gradients(weights, biases, x, labels, scale=None):
+    """The step :mod:`classifier` takes, in fresh arrays: loss, then the
+    gradients times ``scale`` (1/n: those of the mean loss)."""
     n = len(x)
-    loss = -log_probs[np.arange(n), labels].mean()
-    delta = np.exp(log_probs)
+    probs, hidden = _reference_forward(weights, biases, x)
+    loss = -np.log(probs[np.arange(n), labels]).mean()
+    delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
-    return loss, grads_w, grads_b
+    delta *= 1.0 / n if scale is None else scale
+    below = (delta @ weights[1].T) * (hidden > 0.0)
+    first = _with_ones(x).T @ below
+    return loss, [first[:-1], hidden.T @ delta], [first[-1], delta.sum(axis=0)]
 
 
-def _reference_fit(samples, seed):
+def _sgd(samples, seed, step):
     """Plain mini-batch SGD at the module's constants: gather each batch
-    through the permutation, step by ``w -= lr * dw``; returns weights and
-    biases."""
+    through the permutation and subtract what ``step(weights, biases, x,
+    labels, lr)`` returns; returns the weights and biases."""
     labels = samples.observed_labels
     mean = samples.points.mean(axis=0)
     std = samples.points.std(axis=0)
@@ -94,13 +93,41 @@ def _reference_fit(samples, seed):
         order = rng.permutation(len(x))
         for start in range(0, len(x), batch_size):
             batch = order[start:start + batch_size]
-            _, gw, gb = _reference_loss_and_gradients(
-                weights, biases, x[batch], labels[batch]
-            )
-            for w, b, dw, db in zip(weights, biases, gw, gb):
-                w -= lr * dw
-                b -= lr * db
+            dw, db = step(weights, biases, x[batch], labels[batch], lr)
+            for param, change in zip(weights + biases, dw + db):
+                param -= change
     return weights, biases
+
+
+def _reference_fit(samples, seed):
+    """The loop :func:`classifier.fit` runs: ``lr/n`` folded into the
+    output delta, so each step subtracts the scaled gradients."""
+    def step(weights, biases, x, labels, lr):
+        return _reference_loss_and_gradients(weights, biases, x, labels, lr / len(x))[1:]
+    return _sgd(samples, seed, step)
+
+
+def _log_softmax_forward(weights, biases, x):
+    """The log-softmax form: separate bias adds, log-probabilities."""
+    hidden = np.maximum(x @ weights[0] + biases[0], 0.0)
+    shifted = hidden @ weights[1] + biases[1]
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), hidden
+
+
+def _log_softmax_fit(samples, seed):
+    """The loop ``classifier`` ran before its step was folded: mean-loss
+    gradients through log-probabilities, then ``w -= lr * dw``."""
+    def step(weights, biases, x, labels, lr):
+        n = len(x)
+        log_probs, hidden = _log_softmax_forward(weights, biases, x)
+        delta = np.exp(log_probs)
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+        below = (delta @ weights[1].T) * (hidden > 0.0)
+        return ([lr * (x.T @ below), lr * (hidden.T @ delta)],
+                [lr * below.sum(axis=0), lr * delta.sum(axis=0)])
+    return _sgd(samples, seed, step)
 
 
 def _labeled_points(n, n_classes, seed):
@@ -135,9 +162,40 @@ def test_fit_is_bitwise_the_reference_loop(monkeypatch, samples, seed, epochs):
         assert np.array_equal(got, want)
 
     x = (samples.points - model.input_mean) / model.input_std
-    logits, _ = _reference_forward(weights, biases, x)
-    want = ConditionalMatrix(np.exp(_reference_log_softmax(logits)))
+    want = ConditionalMatrix(_reference_forward(weights, biases, x)[0])
     assert np.array_equal(predict_proba(model, samples.points).rows, want.rows)
+
+
+@pytest.mark.parametrize("samples, seed", [
+    (sample(noise_preset(0.2), 1000, seed=11), 4),
+    (_labeled_points(1000, 5, seed=12), 5),
+], ids=["noise-0.2", "5-classes"])
+def test_fit_moves_only_roundoff_from_the_log_softmax_loop(samples, seed):
+    # the folded step reorders roundoff only: at the shipped constants the
+    # trained model stays within 1e-12 of the log-softmax loop's
+    model = fit(samples, TrainConfig(seed=seed))
+    weights, biases = _log_softmax_fit(samples, seed)
+    for got, want in [*zip(model.weights, weights), *zip(model.biases, biases)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    x = (samples.points - model.input_mean) / model.input_std
+    want = np.exp(_log_softmax_forward(weights, biases, x)[0])
+    assert np.abs(predict_proba(model, samples.points).rows - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("n", [60, classifier.BATCH_SIZE])
+def test_fit_steps_by_the_gradients_of_loss_and_gradients(monkeypatch, n):
+    # one epoch of one batch is one step: init - lr * grads
+    samples = _labeled_points(n, 3, seed=19)
+    monkeypatch.setattr(classifier, "EPOCHS", 0)
+    init = fit(samples, TrainConfig(seed=2))
+    monkeypatch.setattr(classifier, "EPOCHS", 1)
+    trained = fit(samples, TrainConfig(seed=2))
+    x = (samples.points - init.input_mean) / init.input_std
+    _, gw, gb = loss_and_gradients(init.weights, init.biases, x, samples.observed_labels)
+    for got, start, grad in [*zip(trained.weights, init.weights, gw),
+                             *zip(trained.biases, init.biases, gb)]:
+        want = start - classifier.LEARNING_RATE * grad
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5, 7])
@@ -279,6 +337,18 @@ def test_predict_dimension_mismatch(monkeypatch):
     model = fit(samples, TrainConfig(seed=0))
     with pytest.raises(ValidationError):
         predict_proba(model, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_points(monkeypatch, bad):
+    monkeypatch.setattr(classifier, "EPOCHS", 1)
+    model = fit(sample(noise_preset(0.2), 200, seed=6), TrainConfig(seed=0))
+    points = np.zeros((4, 2))
+    points[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="points contain non-finite"):
+            predict_proba(model, points)
 
 
 def test_learned_posterior_pipeline_recovers_threshold():
