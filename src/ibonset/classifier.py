@@ -13,13 +13,17 @@ the seed directly.
 Training runs in fixed buffers.  All weights and biases are views into one
 flat parameter vector and all gradients into a second one.  The hidden
 bias is one more row of the hidden weights and the inputs carry a column of
-ones, so one matmul applies it and one gives its gradient with the
-weights'.  Probabilities are ``exp(shift) / sum``, and the output delta
-``(p - onehot) * lr / rows`` is already the step, so an update is one
-``params -= grads``: 18 numpy calls a step at two classes.  Each epoch
-gathers the shuffled inputs and one-hot targets into two fixed buffers;
-the batches are row slices of them, and every batch's views and the pass
-buffers of each batch size are built once before the first epoch.
+ones, so one product applies it and one gives its gradient with the
+weights'; the output bias's gradient is a row of ones times the output
+delta.  Every product is the ``ndarray.dot`` method into a C-contiguous
+buffer: the BLAS call of ``np.dot`` without its ``__array_function__``
+dispatch, and without the ufunc dispatch of ``np.matmul``.  Probabilities
+are ``exp(shift) / sum``, and the output delta ``(p - onehot) * lr / rows``
+is already the step, so an update is one ``params -= grads``: 18 numpy
+calls a step at two classes.  Each epoch gathers the shuffled inputs and
+one-hot targets into two fixed buffers; the batches are row slices of them,
+and every batch's views and the pass buffers of each batch size are built
+once before the first epoch.
 ``fit``, ``loss_and_gradients`` and ``predict_proba`` run the same forward
 and backward code.  For fewer than 8 classes the results are bit for bit
 those of this arithmetic in fresh arrays (from 8 classes numpy's pairwise
@@ -43,6 +47,10 @@ HIDDEN = 32
 LEARNING_RATE = 0.1
 EPOCHS = 200
 BATCH_SIZE = 128
+
+# the step's ReLU compares with this 0-d zero: a Python 0.0 would be
+# converted to an array on every call
+_ZERO = np.zeros(())
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ class _Workspace:
     """The buffers of one forward and backward pass over ``rows`` examples:
     hidden activations, class probabilities (the output delta once the
     backward pass runs), the ReLU mask, the hidden delta, the softmax row
-    max and row sum, and the views onto them that the pass reads."""
+    max and row sum, the views onto them that the pass reads, and the row
+    of ones that sums the output delta into the output bias's gradient."""
 
     def __init__(self, width: int, n_classes: int, rows: int):
         self.hidden = np.empty((rows, width))
@@ -105,6 +114,7 @@ class _Workspace:
         self.top_col = self.top[:, None]
         self.total_col = self.total[:, None]
         self.prob_columns = list(self.probs.T)
+        self.ones = np.ones(rows)
 
 
 def _fold_columns(ufunc, columns, out) -> None:
@@ -120,9 +130,9 @@ def _fold_columns(ufunc, columns, out) -> None:
 def _forward(ws: _Workspace, layers: _Layers, x) -> None:
     """Class probabilities of the ones-augmented inputs ``x`` into
     ``ws.probs``, with the hidden activations left in ``ws.hidden``."""
-    hidden = np.matmul(x, layers.first, out=ws.hidden)
-    np.maximum(hidden, 0.0, out=hidden)
-    logits = np.matmul(hidden, layers.out, out=ws.probs)
+    hidden = x.dot(layers.first, out=ws.hidden)
+    np.maximum(hidden, _ZERO, out=hidden)
+    logits = hidden.dot(layers.out, out=ws.probs)
     logits += layers.out_bias
     # Row max and row sum taken column by column: on the narrow rows of
     # class logits, numpy's axis=1 reductions cost many times the
@@ -145,12 +155,12 @@ def _backward(ws: _Workspace, layers: _Layers, x_t, targets, scale, grads: _Laye
     # subtracting 1.0 at each label alone
     delta -= targets
     delta *= scale
-    np.matmul(ws.hidden_t, delta, out=grads.out)
-    np.add.reduce(delta, axis=0, out=grads.out_bias)
-    below = np.matmul(delta, layers.out_t, out=ws.delta_hidden)
-    below *= np.greater(ws.hidden, 0.0, out=ws.mask)
+    ws.hidden_t.dot(delta, out=grads.out)
+    ws.ones.dot(delta, out=grads.out_bias)
+    below = delta.dot(layers.out_t, out=ws.delta_hidden)
+    below *= np.greater(ws.hidden, _ZERO, out=ws.mask)
     # the ones column makes this the hidden weights' and bias's gradients
-    np.matmul(x_t, below, out=grads.first)
+    x_t.dot(below, out=grads.first)
 
 
 def loss_and_gradients(weights, biases, x, labels):
@@ -230,5 +240,11 @@ def predict_proba(model: MlpModel, points) -> ConditionalMatrix:
         raise ValidationError("points contain non-finite entries")
     layers = _Layers(pts.shape[1], *model.weights[1].shape, model.weights, model.biases)
     ws = _Workspace(*model.weights[1].shape, len(pts))
-    _forward(ws, layers, _with_ones((pts - model.input_mean) / model.input_std))
+    # finite points far outside the training scale overflow in the
+    # standardization or the hidden layer, and only then is a probability
+    # not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        _forward(ws, layers, _with_ones((pts - model.input_mean) / model.input_std))
+    if not np.isfinite(ws.probs).all():
+        raise ValidationError("points overflow the model's input scale")
     return ConditionalMatrix(ws.probs)

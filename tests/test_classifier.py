@@ -68,7 +68,7 @@ def _reference_loss_and_gradients(weights, biases, x, labels, scale=None):
     delta *= 1.0 / n if scale is None else scale
     below = (delta @ weights[1].T) * (hidden > 0.0)
     first = _with_ones(x).T @ below
-    return loss, [first[:-1], hidden.T @ delta], [first[-1], delta.sum(axis=0)]
+    return loss, [first[:-1], hidden.T @ delta], [first[-1], np.ones(n) @ delta]
 
 
 def _sgd(samples, seed, step):
@@ -149,8 +149,10 @@ def _labeled_points(n, n_classes, seed):
     (_labeled_points(100, 2, seed=15), 8, 5),
     # 640 = 5 * 128, at the shipped constants
     (_labeled_points(640, 2, seed=16), 9, None),
+    # 129 = 128 + 1: the last batch is a single row
+    (_labeled_points(129, 2, seed=17), 10, 5),
 ], ids=["2-classes", "5-classes", "3-classes", "one-batch-of-n", "one-batch-above-n",
-        "n-divisible"])
+        "n-divisible", "last-batch-one-row"])
 def test_fit_is_bitwise_the_reference_loop(monkeypatch, samples, seed, epochs):
     if epochs is not None:
         monkeypatch.setattr(classifier, "EPOCHS", epochs)
@@ -349,6 +351,17 @@ def test_predict_rejects_non_finite_points(monkeypatch, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="points contain non-finite"):
             predict_proba(model, points)
+
+
+@pytest.mark.parametrize("point", [[1e308, 1e308], [0.0, -1e308]])
+def test_predict_rejects_points_that_overflow_the_input_scale(monkeypatch, point):
+    # finite points whose standardized value is not finite
+    monkeypatch.setattr(classifier, "EPOCHS", 1)
+    model = fit(sample(noise_preset(0.2), 200, seed=6), TrainConfig(seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="overflow the model's input scale"):
+            predict_proba(model, [[0.0, 0.0], point])
 
 
 def test_learned_posterior_pipeline_recovers_threshold():
