@@ -62,7 +62,7 @@ class TrainConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     """Input -> one rectified-linear hidden layer -> class logits."""
 

@@ -67,7 +67,7 @@ class _Frozen:
         self._store(**state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint(_Frozen):
     """Full joint probability table p(x, y), rows indexed by x.
 
@@ -76,8 +76,8 @@ class DiscreteJoint(_Frozen):
     """
 
     probs: np.ndarray
-    p_x: np.ndarray = field(init=False, repr=False, compare=False)
-    p_y: np.ndarray = field(init=False, repr=False, compare=False)
+    p_x: np.ndarray = field(init=False, repr=False)
+    p_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _unit_mass(_prob_array(self.probs, "probs", 2), "joint")
@@ -114,7 +114,7 @@ class DiscreteJoint(_Frozen):
         return DiscreteJoint(merged), _freeze(group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalMatrix(_Frozen):
     """Row-stochastic table of p(y | x_i) plus example weights p(x_i).
 
@@ -124,7 +124,7 @@ class ConditionalMatrix(_Frozen):
 
     rows: np.ndarray
     weights: np.ndarray | None = None
-    p_y: np.ndarray = field(init=False, repr=False, compare=False)
+    p_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = _prob_array(self.rows, "rows", 2)

@@ -51,7 +51,7 @@ class Method(str, enum.Enum):
     INFO_DENSITY = "info_density"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaEstimate(_Frozen):
     """A threshold value, the method that produced it, and its witness.
 

@@ -21,7 +21,7 @@ encoder's 0 (see :func:`detect_onset`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ INIT_CONCENTRATION = 10.0
 ONSET_LEARNED_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encoder(_Frozen):
     """Row-stochastic table p(z|x) produced by the solver, checked and
     renormalized as the rows of a :class:`ConditionalMatrix` are."""
@@ -62,8 +62,8 @@ class Encoder(_Frozen):
 @dataclass(frozen=True)
 class SweepPoint:
     beta: float
-    i_xz: float
-    i_yz: float
+    i_xz_nats: float
+    i_yz_nats: float
     objective: float
     converged: bool
     iterations: int
@@ -81,9 +81,9 @@ class SweepResult:
 
     def __post_init__(self):
         for p in self.points:
-            if p.i_yz > p.i_xz + 1e-9 or p.i_yz < -1e-9:
+            if p.i_yz_nats > p.i_xz_nats + 1e-9 or p.i_yz_nats < -1e-9:
                 raise ValidationError(
-                    f"information pair ({p.i_xz}, {p.i_yz}) at beta={p.beta} "
+                    f"information pair ({p.i_xz_nats}, {p.i_yz_nats}) at beta={p.beta} "
                     "violates the processing inequality"
                 )
             # the trivial encoder achieves 0, so a converged minimizer can
@@ -96,19 +96,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "points": [
-                {
-                    "beta": p.beta,
-                    "i_xz_nats": p.i_xz,
-                    "i_yz_nats": p.i_yz,
-                    "objective": p.objective,
-                    "converged": p.converged,
-                    "iterations": p.iterations,
-                    "restart": p.restart,
-                    "max_objective_increase": p.max_objective_increase,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
             "detected_beta0": self.detected_beta0,
             "protocol": dict(self.protocol),
         }
@@ -468,4 +456,4 @@ def sweep(
 def save_sweep_csv(result: SweepResult, path) -> None:
     """Plot-ready CSV: one row per grid point."""
     _write_csv_table(path, ["beta", "i_xz_nats", "i_yz_nats", "objective"],
-                     [[p.beta, p.i_xz, p.i_yz, p.objective] for p in result.points])
+                     [[p.beta, p.i_xz_nats, p.i_yz_nats, p.objective] for p in result.points])

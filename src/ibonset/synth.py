@@ -39,6 +39,10 @@ def _finite(value, name: str) -> np.ndarray:
     return out
 
 
+#: a spec document's keys of one component, for the first four fields of MixtureSpec
+_COMPONENT_KEYS = ("mean", "variances", "weight", "class_id")
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureSpec(_Frozen):
     """A 2D diagonal-covariance Gaussian mixture with optional label noise.
@@ -102,18 +106,16 @@ class MixtureSpec(_Frozen):
         return np.bincount(self.class_ids, self.weights, self.num_true_classes)
 
     def to_dict(self) -> dict:
-        keys = ("mean", "variances", "weight", "class_id")
         columns = (a.tolist() for a in (self.means, self.variances, self.weights, self.class_ids))
         return {
-            "components": [dict(zip(keys, component)) for component in zip(*columns)],
+            "components": [dict(zip(_COMPONENT_KEYS, component)) for component in zip(*columns)],
             "noise": None if self.noise is None else self.noise.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MixtureSpec":
         try:
-            columns = [[c[key] for c in doc["components"]]
-                       for key in ("mean", "variances", "weight", "class_id")]
+            columns = [[c[key] for c in doc["components"]] for key in _COMPONENT_KEYS]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed mixture document: {exc}") from exc
         return cls(*columns, doc.get("noise"))
@@ -143,7 +145,7 @@ def _whole_numbers(values, name: str) -> np.ndarray:
     return np.array(raw, dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet(_Frozen):
     """Drawn points with both observed (possibly flipped) and true labels."""
 

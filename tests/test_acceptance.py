@@ -251,7 +251,7 @@ def test_criterion_7_property_suites():
     # processing inequality on every sweep point
     result = sweep(joint, np.geomspace(1.5, 4.5, 9), seed=2, restarts=2)
     for p in result.points:
-        assert -1e-12 <= p.i_yz <= p.i_xz + 1e-9
+        assert -1e-12 <= p.i_yz_nats <= p.i_xz_nats + 1e-9
         assert p.objective <= 1e-9
     _check("criterion 7f (processing inequality along the sweep)", True, "1e-9")
 

@@ -8,8 +8,12 @@ import pytest
 
 import ibonset
 from ibonset import (
+    BetaEstimate,
     ConditionalMatrix,
     DiscreteJoint,
+    Encoder,
+    Method,
+    SampleSet,
     ValidationError,
     conditional_from_joint,
     entropy,
@@ -21,6 +25,7 @@ from ibonset import (
     save_joint_csv,
 )
 from ibonset import analytic_posterior, noise_preset, sample, save_samples_csv, save_sweep_csv, sweep
+from ibonset.classifier import MlpModel
 from ibonset.cli import _task_seed
 from ibonset.dist import _Frozen, _read_csv_table, _write_csv_table, rel_entr, xlogy
 from conftest import random_joint, two_cluster_joint
@@ -43,6 +48,25 @@ def test_every_exported_frozen_container_with_arrays_keeps_them_read_only():
                 containers.add(name)
     assert containers == {"DiscreteJoint", "ConditionalMatrix", "MixtureSpec", "SampleSet",
                           "BetaEstimate", "Encoder"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]),
+    lambda: ConditionalMatrix([[0.8, 0.2], [0.2, 0.8]]),
+    lambda: BetaEstimate(2.0, Method.FUNCTIONAL, [1.0, 0.0]),
+    lambda: Encoder(np.eye(2), 2.0, True, 1, -0.1),
+    lambda: SampleSet([[0.0, 1.0]], [0], [1]),
+    lambda: MlpModel([np.ones((2, 3))], [np.zeros(3)], np.zeros(2), np.ones(2)),
+    lambda: noise_preset(0.2),
+], ids=["DiscreteJoint", "ConditionalMatrix", "BetaEstimate", "Encoder", "SampleSet",
+        "MlpModel", "MixtureSpec"])
+def test_containers_with_arrays_compare_and_hash_by_identity(make):
+    # a generated == would compare the arrays and raise on their truth value,
+    # and a generated hash would hash them and raise
+    a, b = make(), make()
+    assert not (a == b) and a != b
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_joint_from_conditional_diagonal():
@@ -285,7 +309,7 @@ def test_sweep_csv_matches_per_cell_writer(tmp_path):
     save_sweep_csv(result, tmp_path / "sweep.csv")
     reference = _reference_csv(
         tmp_path / "ref.csv", ["beta", "i_xz_nats", "i_yz_nats", "objective"],
-        [[p.beta, p.i_xz, p.i_yz, p.objective] for p in result.points])
+        [[p.beta, p.i_xz_nats, p.i_yz_nats, p.objective] for p in result.points])
     assert (tmp_path / "sweep.csv").read_bytes() == reference
 
 

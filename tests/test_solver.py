@@ -12,6 +12,7 @@ from ibonset import (
     ConditionalMatrix,
     DiscreteJoint,
     Encoder,
+    SweepPoint,
     ValidationError,
     detect_onset,
     discretize,
@@ -150,7 +151,7 @@ def test_sweep_two_cluster_detects_onset():
     assert result.detected_beta0 is not None
     assert 2.5 <= result.detected_beta0 <= 3.1
     for p in result.points:
-        assert p.i_yz <= p.i_xz + 1e-9
+        assert p.i_yz_nats <= p.i_xz_nats + 1e-9
         assert p.objective <= 1e-9
     assert result.protocol["learned_tol"] == solver.ONSET_LEARNED_TOL == 1e-9
 
@@ -196,8 +197,8 @@ def test_sweep_label_permutation_invariance():
     a = sweep(joint, grid, seed=5)
     b = sweep(flipped, grid, seed=5)
     for pa, pb in zip(a.points, b.points):
-        assert pb.i_xz == pytest.approx(pa.i_xz, abs=1e-9)
-        assert pb.i_yz == pytest.approx(pa.i_yz, abs=1e-9)
+        assert pb.i_xz_nats == pytest.approx(pa.i_xz_nats, abs=1e-9)
+        assert pb.i_yz_nats == pytest.approx(pa.i_yz_nats, abs=1e-9)
     assert a.detected_beta0 == pytest.approx(b.detected_beta0, abs=1e-12)
 
 
@@ -341,9 +342,17 @@ def test_save_sweep_csv(tmp_path):
         writer.writerow(["beta", "i_xz_nats", "i_yz_nats", "objective"])
         for p in result.points:
             writer.writerow(
-                [format(v, ".17g") for v in (p.beta, p.i_xz, p.i_yz, p.objective)]
+                [format(v, ".17g") for v in (p.beta, p.i_xz_nats, p.i_yz_nats, p.objective)]
             )
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_sweep_report_and_csv_name_the_point_fields(tmp_path):
+    result = sweep(discretize(noise_preset(0.2)), np.geomspace(1.5, 4.5, 7), seed=0)
+    names = [f.name for f in dataclasses.fields(SweepPoint)]
+    assert [list(point) for point in result.to_dict()["points"]] == [names] * 7
+    save_sweep_csv(result, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == ",".join(names[:4])
 
 
 def test_encoder_validation():
