@@ -366,14 +366,6 @@ def detect_onset(betas: np.ndarray, objectives: np.ndarray) -> tuple[float | Non
     return None, False
 
 
-def check_grid_points(points: int) -> None:
-    """Reject a beta grid of ``points`` points, as :func:`sweep` does, when
-    it has fewer than the two that bracket an onset; a front end can call
-    this before it builds the grid."""
-    if points < 2:
-        raise ValidationError("beta grid must be one-dimensional with >= 2 points")
-
-
 def sweep(
     joint: DiscreteJoint,
     beta_grid,
@@ -410,7 +402,8 @@ def sweep(
     iterations, the first on ties (``slowdown_peak_beta``).
     """
     betas = np.asarray(beta_grid, dtype=float)
-    check_grid_points(len(betas) if betas.ndim == 1 else 0)
+    if betas.ndim != 1 or len(betas) < 2:
+        raise ValidationError("beta grid must be one-dimensional with >= 2 points")
     if not np.all((betas > 0.0) & np.isfinite(betas)):
         raise ValidationError("beta grid must be positive and finite")
     if np.any(np.diff(betas) <= 0.0):

@@ -112,6 +112,9 @@ def cases(seed: int) -> list[tuple[str, list[str], list[str]]]:
          ["table", "--rates", "0.2", "--sweep-column", "--seed", s,
           "--out", "table_sweep_column.json"],
          ["table_sweep_column.json"]),
+        ("table beta-points 1",
+         ["table", "--rates", "0.2", "--beta-points", "1", "--out", "t.json"],
+         ["t.json"]),
     ]
 
 

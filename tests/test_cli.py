@@ -18,7 +18,15 @@ from ibonset import (
     save_joint_csv,
     solver,
 )
-from ibonset.cli import _COMMANDS, _ESTIMATORS, _build_config, _task_seed, build_parser, main
+from ibonset.cli import (
+    _COMMANDS,
+    _ESTIMATORS,
+    _LEAST,
+    _build_config,
+    _task_seed,
+    build_parser,
+    main,
+)
 
 from golden_cases import OVERLAP_NOISY_SPEC
 
@@ -735,7 +743,7 @@ def test_zero_bins_exits_1(tmp_path, capsys, monkeypatch, command, argv, via):
     assert main([command, *argv, *bins]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "bins_per_axis must be at least 1" in captured.err
+    assert "bins must be at least 1, got 0" in captured.err
 
 
 def test_sweep_on_joint_csv(tmp_path):
@@ -866,7 +874,7 @@ def test_sweep_non_convergence_exits_3(tmp_path):
     (["--beta-max", "inf"], "both finite"),
     (["--beta-min", "nan"], "both finite"),
     # a ValueError traceback from np.geomspace
-    (["--beta-points", "-1"], "beta_points must be positive, got -1"),
+    (["--beta-points", "-1"], "beta_points must be at least 2, got -1"),
 ], ids=["max-iters-0", "max-iters-neg", "beta-max-inf", "beta-min-nan", "beta-points-neg"])
 def test_sweep_bad_solver_settings_exit_1_before_solving(
     tmp_path, capsys, monkeypatch, argv, message
@@ -960,19 +968,19 @@ def test_table_sweep_column_negative_beta_points_exits_1(tmp_path, capsys, monke
     assert main(["table", "--rates", "0.2", "--sweep-column", "--beta-points", "-2",
                  "--out", "t.json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "beta_points must be positive, got -2" in captured.err
+    assert captured.out == "" and "beta_points must be at least 2, got -2" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
     # printed the table and exited 0 with the option unread
-    (["--rates", "0.1", "--beta-points", "-2"], "beta_points must be positive, got -2"),
+    (["--rates", "0.1", "--beta-points", "-2"], "beta_points must be at least 2, got -2"),
     # trained a classifier for the first rate, then exited 1
     (["--learned", "--sweep-column", "--rates", "0.1,0.2,0.3", "--samples", "4000",
-      "--beta-points", "-2"], "beta_points must be positive, got -2"),
+      "--beta-points", "-2"], "beta_points must be at least 2, got -2"),
     # positive but too few for the sweep: also trained a classifier first
     (["--learned", "--sweep-column", "--rates", "0.1,0.2", "--samples", "4000",
-      "--beta-points", "1"], "beta grid must be one-dimensional with >= 2 points"),
+      "--beta-points", "1"], "beta_points must be at least 2, got 1"),
     # a rate outside [0, 1]: trained the 0.1 row's classifier first
     (["--learned", "--rates", "0.1,1.5", "--samples", "4000"], "flip rate must lie in [0, 1]"),
 ], ids=["plain", "learned-sweep-column", "learned-sweep-1-point", "learned-bad-rate"])
@@ -1099,7 +1107,7 @@ def test_estimate_zero_samples_exits_1(tmp_path, capsys, via):
     assert main(["estimate", "--preset", "noise-0.2", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "at least one sample" in captured.err
+    assert "samples must be at least 1, got 0" in captured.err
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -1118,6 +1126,53 @@ def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, via, command, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "seed" in captured.err
+
+
+#: per command, an input and outputs: work would read a missing file or
+#: write under the current directory
+WORK_ARGV = {
+    "gen": ["--preset", "noise-0.2"],
+    "estimate": ["--cond", "missing.csv", "--out", "e.json"],
+    "sweep": ["--cond", "missing.csv"],
+    "table": ["--rates", "0.2", "--learned", "--sweep-column", "--out", "t.json"],
+    "maxcorr": ["--cond", "missing.csv", "--out", "m.json"],
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, options) in _COMMANDS.items()
+    for key, (kind, _, _) in options.items() if kind is int
+])
+def test_integer_option_below_its_least_value_exits_1_before_any_work(
+    tmp_path, capsys, monkeypatch, command, key, via
+):
+    # table --beta-points 1 and --samples 0 once ran to exit 0 unread, and
+    # sweep's max_iters, z_card and beta_points were checked after the
+    # input was loaded
+    from ibonset import cli
+
+    integer_options = {k for _, _, options in _COMMANDS.values()
+                       for k, (kind, _, _) in options.items() if kind is int}
+    assert set(_LEAST) == integer_options
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((cli, "_load_problem"), (cli.synth, "sample"), (cli, "_table_row")):
+        monkeypatch.setattr(module, name, no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    least = _LEAST[key]
+    value = least - 1
+    flag = "--" + key.replace("_", "-")
+    argv = [flag, str(value)] if via == "flag" else _config_argv(tmp_path, {key: value})
+    assert main([command, *WORK_ARGV[command], *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command}: {key} must be at least {least}, got {value}\n"
+    assert list(work.iterdir()) == []
 
 
 def test_table_optional_columns(tmp_path):
