@@ -311,7 +311,6 @@ def _cmd_sweep(config) -> int:
         seed=_task_seed(config["seed"], 1),
         max_iters=config["max_iters"],
         restarts=config["restarts"],
-        warm_start=config["warm_start"],
     )
 
     for p in result.points:
@@ -491,7 +490,6 @@ _COMMANDS = {
         "max_iters": (int, 5000, None),
         "bins": (int, 32, None),
         "seed": (int, 0, None),
-        "warm_start": (bool, False, None),
         "out_csv": (str, "sweep.csv", None),
         "out_json": (str, "sweep.json", None),
     }),

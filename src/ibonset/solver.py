@@ -13,9 +13,9 @@ extrapolated step is accepted only when it keeps that property.
 The exactly uniform encoder is a stationary point for every beta, so
 initialization perturbs uniform rows with Dirichlet noise; several restarts
 are run and the best final objective wins, ties within roundoff going to the
-first restart.  A sweep over an ascending beta grid locates the empirical
-learnability onset: the first grid point whose objective beats the trivial
-encoder's 0 (see :func:`detect_onset`).
+first restart.  A sweep anneals down an ascending beta grid and locates the
+empirical learnability onset: the first grid point whose objective beats
+the trivial encoder's 0 (see :func:`detect_onset`).
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def solve(
     lowest count as tied and the first of them wins, so the choice does not
     follow roundoff among restarts that reach the same encoder.
     ``init_probs``, when given, is tried as an additional deterministic
-    initialization (used for warm starts and stationarity checks; the
-    exactly uniform encoder is itself a fixed point, so random perturbation
-    is what breaks that symmetry).
+    initialization (the sweep's annealing passes the encoder of the next
+    higher beta; the exactly uniform encoder is itself a fixed point, so
+    random perturbation is what breaks that symmetry).
 
     Each cycle takes two plain updates and then a SQUAREM extrapolation
     (Varadhan & Roland 2008) on log p(z|x), followed by one stabilizing
@@ -181,8 +181,9 @@ def solve(
     ``default_rng(seed)``, so the problem depends only on the merged table:
     splitting a row into equal copies or permuting the rows changes no
     draw.  ``init_probs`` enters as its p(x)-weighted mean over the rows of
-    each t.  All restarts are scored in one stacked pass.  ``probs`` has
-    all |X| rows, the rows of one t being copies.
+    each t, added in sorted order as the merge adds p(t, y).  All restarts
+    are scored in one stacked pass.  ``probs`` has all |X| rows, the rows
+    of one t being copies.
 
     Non-convergence is not an error: the best iterate comes back with
     ``converged=False``.  ``diagnostics`` holds the winning ``restart``
@@ -208,10 +209,11 @@ def solve(
             raise ValidationError(
                 f"init_probs shape {arr.shape} does not match ({joint.shape[0]}, {z_card})"
             )
-        # the p(x)-weighted mean over the rows of each t
+        # the p(x)-weighted mean over the rows of each t, in sorted order
+        order = np.lexsort((*arr.T, *joint.probs.T, group))
         warm = np.zeros((n_t, z_card))
-        np.add.at(warm, group, arr * joint.p_x[:, None])
-        warm /= np.bincount(group, weights=joint.p_x)[:, None]
+        np.add.at(warm, group[order], arr[order] * joint.p_x[order, None])
+        warm /= np.bincount(group[order], weights=joint.p_x[order])[:, None]
         start = np.concatenate([warm[None], start])
     if not len(start):
         raise ValidationError("no initialization: give init_probs or restarts >= 1")
@@ -381,17 +383,16 @@ def sweep(
 
     Every point is one call of the module-level :func:`solve` at its grid
     beta with its own derived seed, on the distinct rows of p(y|x) merged
-    once per table.  One serial loop solves the grid: in ascending order
-    from the random restarts alone, or, with ``warm_start``, in descending
-    order with each point's encoder as an extra initialization
-    (``init_probs``) of the next lower beta.  That annealing can reach a
-    lower objective than the cold restarts, which can stay in a higher
-    local minimum; it is off by default.  A grid of fewer than 2 points, a
-    non-positive or non-finite beta, a ``z_card`` below 2, or ``max_iters``
-    or ``restarts`` below 1 is rejected before any point is solved.
+    once per table.  One serial loop anneals down the grid (Tishby, Pereira
+    & Bialek 1999): each point's encoder is an extra initialization
+    (``init_probs``) of the next lower beta, so a learned solution reaches
+    below 1/rho^2, where the restarts around uniform can stay trivial at a
+    first-order onset.  A grid of fewer than 2 points, a non-positive or
+    non-finite beta, a ``z_card`` below 2, or ``max_iters`` or ``restarts``
+    below 1 is rejected before any point is solved.
 
-    ``workers`` is ignored: it stays only because the benchmark's traced
-    run passes ``workers=2``, and goes with ROADMAP item 1, as
+    ``workers`` and ``warm_start`` are ignored: the benchmark's traced run
+    passes ``workers=2, warm_start=True``; both go with ROADMAP item 1, as
     ``estimators.minimize_beta(seed=)`` does.
 
     ``detected_beta0`` and ``onset_below_grid`` are :func:`detect_onset`
@@ -416,15 +417,14 @@ def sweep(
     children = seq.spawn(len(betas))
     points = [None] * len(betas)
     prev = None
-    for i in reversed(range(len(betas))) if warm_start else range(len(betas)):
+    for i in reversed(range(len(betas))):
         beta = float(betas[i])
         enc = solve(joint, beta, z_card, seed=children[i], max_iters=max_iters,
                     restarts=restarts, init_probs=prev)
         d = enc.diagnostics
         points[i] = SweepPoint(beta, d["i_xz"], d["i_yz"], enc.objective, enc.converged,
                                enc.iterations, d["restart"], d["max_objective_increase"])
-        if warm_start:
-            prev = enc.probs
+        prev = enc.probs
 
     detected, below_grid = detect_onset(betas, [p.objective for p in points])
     protocol = {
@@ -433,14 +433,13 @@ def sweep(
         "restarts": restarts,
         "max_iters": max_iters,
         "tol": CONVERGENCE_TOL,
-        "warm_start": warm_start,
         "onset_below_grid": below_grid,
         "non_monotone_betas": [
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],
         "distinct_rows": joint.merged[0].shape[0],
-        # first of the points with the most solver iterations: where the
-        # iteration slows down most, next to a transition
+        # first of the points with the most solver iterations: next to a
+        # transition, or the highest beta, the one point without init_probs
         "slowdown_peak_beta": points[int(np.argmax([p.iterations for p in points]))].beta,
     }
     return SweepResult(points=tuple(points), detected_beta0=detected, protocol=protocol)

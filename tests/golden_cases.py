@@ -90,8 +90,8 @@ def cases(seed: int) -> list[tuple[str, list[str], list[str]]]:
     Path("overlap_noisy.json").write_text(json.dumps(OVERLAP_NOISY_SPEC))
     s = str(seed)
     return found + [
-        ("sweep overlap-3.2 warm",
-         ["sweep", "--preset", "overlap-3.2", "--warm-start", "--seed", s,
+        ("sweep overlap-3.2",
+         ["sweep", "--preset", "overlap-3.2", "--seed", s,
           "--out-csv", "sweep_overlap32.csv", "--out-json", "sweep_overlap32.json"],
          ["sweep_overlap32.csv", "sweep_overlap32.json"]),
         ("maxcorr noise-0.5",

@@ -184,7 +184,7 @@ def test_sweep_calls_solve_once_per_grid_beta(monkeypatch):
     monkeypatch.setattr(solver, "solve", recorder)
     grid = np.geomspace(1.5, 4.5, 7)
     solver.sweep(discretize(noise_preset(0.2)), grid, seed=1)
-    assert [beta for beta, _ in calls] == grid.tolist()
+    assert sorted(beta for beta, _ in calls) == grid.tolist()
     assert all(isinstance(enc, solver.Encoder) for _, enc in calls)
 
 

@@ -294,20 +294,22 @@ def test_estimate_unknown_preset_exits_1():
 def test_estimate_config_file_with_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     for command, key, value in [("estimate", "surprise", 1), ("estimate", "tolerance", 1),
-                                ("estimate", "variant", "range"), ("sweep", "workers", 2)]:
+                                ("estimate", "variant", "range"), ("sweep", "workers", 2),
+                                ("sweep", "warm_start", True)]:
         cfg.write_text(json.dumps({"preset": "noise-0.2", key: value}))
         assert main([command, "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("sweep", {"warm_start": "false"}),
+    ("table", {"learned": "false"}),
     ("sweep", {"restarts": 2.7}),
     ("table", {"beta_points": True}),
 ])
 def test_config_document_values_are_not_coerced(tmp_path, capsys, command, doc):
     # each of these ran to exit 0 when values were coerced: "false" turned
-    # warm start on, 2.7 restarts became 2, and true beta points became 1
+    # the learned column on, 2.7 restarts became 2, and true beta points
+    # became 1
     inputs = {
         "sweep": {"preset": "noise-0.2", "beta_points": 7,
                   "out_csv": str(tmp_path / "s.csv"), "out_json": str(tmp_path / "s.json")},
