@@ -87,8 +87,7 @@ _KINDS = {
 }
 
 #: integer option -> least value (a grid brackets an onset with 2 points)
-_LEAST = {"seed": 0, "n": 1, "samples": 1, "bins": 1, "restarts": 1, "max_iters": 1,
-          "beta_points": 2, "z_card": 2}
+_LEAST = {"seed": 0, "n": 1, "samples": 1, "bins": 1, "beta_points": 2}
 
 
 def _build_config(command: str, cli_values: dict, config_path: str | None) -> dict:
@@ -304,14 +303,7 @@ def _cmd_sweep(config) -> int:
     grid = _geometric_grid(config["beta_min"], config["beta_max"], config["beta_points"])
     # before any point is solved, so an input a route rejects fails first
     theory = _theory(problem, ("subset", "class-conditional", "maxcorr"))
-    result = solver.sweep(
-        problem.joint,
-        grid,
-        config["z_card"],
-        seed=_task_seed(config["seed"], 1),
-        max_iters=config["max_iters"],
-        restarts=config["restarts"],
-    )
+    result = solver.sweep(problem.joint, grid, seed=_task_seed(config["seed"], 1))
 
     for p in result.points:
         flag = "" if p.converged else "  [not converged]"
@@ -485,9 +477,6 @@ _COMMANDS = {
         "beta_min": (float, 1.5, None),
         "beta_max": (float, 4.5, None),
         "beta_points": (int, 25, None),
-        "z_card": (int, None, None),
-        "restarts": (int, 5, None),
-        "max_iters": (int, 5000, None),
         "bins": (int, 32, None),
         "seed": (int, 0, None),
         "out_csv": (str, "sweep.csv", None),

@@ -397,10 +397,10 @@ def sweep(
 
     ``detected_beta0`` and ``onset_below_grid`` are :func:`detect_onset`
     of the points' objectives.  ``protocol`` records its tolerance
-    (``learned_tol``), the solver settings, the points whose free energy
-    rose (``non_monotone_betas``), the rows the kernel ran on
-    (``distinct_rows``) and the grid beta whose point took the most solver
-    iterations, the first on ties (``slowdown_peak_beta``).
+    (``learned_tol``), the resolved solver settings (``z_card``,
+    ``restarts``, ``max_iters``, ``tol``), the points whose free energy rose
+    (``non_monotone_betas``) and the rows the kernel ran on
+    (``distinct_rows``); each point keeps its own solver ``iterations``.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or len(betas) < 2:
@@ -438,9 +438,6 @@ def sweep(
             p.beta for p in points if p.max_objective_increase > MONOTONE_TOL
         ],
         "distinct_rows": joint.merged[0].shape[0],
-        # first of the points with the most solver iterations: next to a
-        # transition, or the highest beta, the one point without init_probs
-        "slowdown_peak_beta": points[int(np.argmax([p.iterations for p in points]))].beta,
     }
     return SweepResult(points=tuple(points), detected_beta0=detected, protocol=protocol)
 

@@ -295,20 +295,65 @@ def test_estimate_config_file_with_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     for command, key, value in [("estimate", "surprise", 1), ("estimate", "tolerance", 1),
                                 ("estimate", "variant", "range"), ("sweep", "workers", 2),
-                                ("sweep", "warm_start", True)]:
+                                ("sweep", "warm_start", True), ("sweep", "restarts", 2),
+                                ("sweep", "max_iters", 100), ("sweep", "z_card", 2)]:
         cfg.write_text(json.dumps({"preset": "noise-0.2", key: value}))
         assert main([command, "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_text, message", [
+    (None, "error: config file not found: {path}\n"),
+    ("{nope", "error: {path}: invalid JSON (Expecting property name enclosed in double quotes"),
+    ('[{"bins": 8}]', "error: {path}: config must be a JSON object\n"),
+], ids=["missing", "invalid-json", "array"])
+def test_unreadable_config_document_exits_1_before_any_work(
+    tmp_path, capsys, monkeypatch, config_text, message
+):
+    cfg = tmp_path / "config.json"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["estimate", "--preset", "noise-0.2", "--out", "e.json",
+                 "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message.format(path=cfg))
+    assert list(work.iterdir()) == []
+
+
+def test_config_document_null_is_the_default(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    argv = ["estimate", "--preset", "noise-0.2", "--method", "maxcorr", "--out", str(out)]
+    runs = []
+    for extra in ([], _config_argv(tmp_path, {"bins": None})):
+        assert main([*argv, *extra]) == 0
+        report = _read_json(out)
+        del report["timestamp"]
+        runs.append((capsys.readouterr(), report))
+    assert runs[0] == runs[1] and runs[0][1]["config"]["bins"] == 32
+
+
+def test_estimate_unknown_method_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate", "--preset", "noise-0.2", "--method", "nope",
+                 "--out", "e.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown method 'nope'; choose from subset, "
+                            "class-conditional, functional, maxcorr, info-density or all\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, doc", [
     ("table", {"learned": "false"}),
-    ("sweep", {"restarts": 2.7}),
+    ("sweep", {"beta_points": 2.7}),
     ("table", {"beta_points": True}),
 ])
 def test_config_document_values_are_not_coerced(tmp_path, capsys, command, doc):
     # each of these ran to exit 0 when values were coerced: "false" turned
-    # the learned column on, 2.7 restarts became 2, and true beta points
+    # the learned column on, 2.7 beta points became 2, and true beta points
     # became 1
     inputs = {
         "sweep": {"preset": "noise-0.2", "beta_points": 7,
@@ -373,6 +418,17 @@ def test_readme_flags_are_options_of_some_command():
     assert sorted(flags - options - {"--config"}) == []
 
 
+def test_readme_command_line_names_every_option():
+    # the reverse of the test above: --joint and --rates were once options
+    # that the command-line section never showed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command_line = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"--[a-z][a-z-]*", command_line))
+    options = {"--" + key.replace("_", "-")
+               for _, _, command_options in _COMMANDS.values() for key in command_options}
+    assert sorted(options - flags) == []
+
+
 def test_readme_solver_bullet_names_what_the_code_has():
     # the bullet once kept naming the onset band's constants and protocol
     # keys after the band was gone
@@ -429,11 +485,15 @@ def test_estimate_method_list_empty_or_repeated(tmp_path, capsys, via):
 def test_estimate_rejects_tolerance_flag():
     # the subset search is exact, so it has no tolerance to set; maxcorr
     # draws no random numbers, so it has no seed; estimate runs only the
-    # prefix search and sweep only the serial grid
+    # prefix search and sweep only the serial grid, at the library's solver
+    # settings, as table --sweep-column does
     for argv in (["estimate", "--preset", "noise-0.2", "--tolerance", "1e-6"],
                  ["maxcorr", "--preset", "noise-0.2", "--seed", "1"],
                  ["estimate", "--preset", "noise-0.2", "--variant", "range"],
-                 ["sweep", "--preset", "noise-0.2", "--workers", "2"]):
+                 ["sweep", "--preset", "noise-0.2", "--workers", "2"],
+                 ["sweep", "--preset", "noise-0.2", "--restarts", "2"],
+                 ["sweep", "--preset", "noise-0.2", "--max-iters", "100"],
+                 ["sweep", "--preset", "noise-0.2", "--z-card", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -756,7 +816,7 @@ def test_sweep_on_joint_csv(tmp_path):
     code = main([
         "sweep", "--joint", str(joint_path),
         "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "9",
-        "--restarts", "2", "--seed", "1",
+        "--seed", "1",
         "--out-csv", str(out_csv), "--out-json", str(out_json),
     ])
     assert code == 0
@@ -777,7 +837,7 @@ def test_sweep_product_joint_warns_but_succeeds(tmp_path, capsys):
     code = main([
         "sweep", "--joint", str(joint_path),
         "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "8",
-        "--restarts", "2", "--seed", "1",
+        "--seed", "1",
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json"),
     ])
     assert code == 0
@@ -855,29 +915,34 @@ def test_sweep_one_row_table_runs_at_the_default_z_card(tmp_path, capsys):
     assert all(p["objective"] == 0.0 for p in doc["points"])
 
 
-def test_sweep_non_convergence_exits_3(tmp_path):
+def test_sweep_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    # the command has no solver options: every point stops after one update
+    original = solver.solve
+
+    def one_update_solve(joint, beta, *args, **kwargs):
+        return original(joint, beta, *args, **{**kwargs, "max_iters": 1})
+
+    monkeypatch.setattr(solver, "solve", one_update_solve)
     joint_path = tmp_path / "joint.csv"
     save_joint_csv(DiscreteJoint([[0.4, 0.1], [0.1, 0.4]]), joint_path)
     code = main([
         "sweep", "--joint", str(joint_path),
-        "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "8",
-        "--restarts", "1", "--max-iters", "1", "--seed", "1",
+        "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "8", "--seed", "1",
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json"),
     ])
     assert code == 3
+    assert capsys.readouterr().err == "warning: no grid point converged\n"
+    assert not any(p["converged"] for p in _read_json(tmp_path / "s.json")["sweep"]["points"])
 
 
 @pytest.mark.parametrize("argv, message", [
-    # no update ran: reports of the bare starting points, exit 3
-    (["--max-iters", "0"], "max_iters must be at least 1, got 0"),
-    (["--max-iters", "-3"], "max_iters must be at least 1, got -3"),
     # two RuntimeWarnings from geomspace, beta = 1.5 solved, then exit 1
     # with "beta must be positive, got inf"
     (["--beta-max", "inf"], "both finite"),
     (["--beta-min", "nan"], "both finite"),
     # a ValueError traceback from np.geomspace
     (["--beta-points", "-1"], "beta_points must be at least 2, got -1"),
-], ids=["max-iters-0", "max-iters-neg", "beta-max-inf", "beta-min-nan", "beta-points-neg"])
+], ids=["beta-max-inf", "beta-min-nan", "beta-points-neg"])
 def test_sweep_bad_solver_settings_exit_1_before_solving(
     tmp_path, capsys, monkeypatch, argv, message
 ):
@@ -940,23 +1005,6 @@ def test_sweep_input_a_route_rejects_exits_1_before_solving(tmp_path, capsys, mo
     assert main(["sweep", "--preset", "noise-0.2", "--beta-points", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: rejected by the route\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("restarts", [0, -1])
-def test_sweep_without_restarts_exits_1_before_loading(tmp_path, capsys, monkeypatch, restarts):
-    # 0 used to fail with "no initialization: give init_probs or restarts
-    # >= 1", about a library argument that has no flag
-    def no_load(*args, **kwargs):
-        raise AssertionError("the input was loaded")
-
-    monkeypatch.setattr("ibonset.cli._load_problem", no_load)
-    monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--preset", "noise-0.2", "--restarts", str(restarts),
-                 "--out-csv", "s.csv", "--out-json", "s.json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: sweep: restarts must be at least 1, got {restarts}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1025,7 +1073,7 @@ def test_sweep_non_monotone_exits_4(tmp_path, capsys, rising_solve):
     code = main([
         "sweep", "--joint", str(joint_path),
         "--beta-min", "1.5", "--beta-max", "4.5", "--beta-points", "8",
-        "--restarts", "2", "--seed", "1",
+        "--seed", "1",
         "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out_json),
     ])
     assert code == 4
@@ -1150,8 +1198,7 @@ def test_integer_option_below_its_least_value_exits_1_before_any_work(
     tmp_path, capsys, monkeypatch, command, key, via
 ):
     # table --beta-points 1 and --samples 0 once ran to exit 0 unread, and
-    # sweep's max_iters, z_card and beta_points were checked after the
-    # input was loaded
+    # sweep's beta_points was checked after the input was loaded
     from ibonset import cli
 
     integer_options = {k for _, _, options in _COMMANDS.values()

@@ -69,6 +69,18 @@ def test_containers_with_arrays_compare_and_hash_by_identity(make):
     assert hash(a) == hash(a) and len({a, b}) == 2
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: DiscreteJoint([0.5, 0.5]), r"probs must be 2-dimensional, got shape \(2,\)"),
+    (lambda: DiscreteJoint(np.zeros((0, 2))), "probs is empty"),
+    (lambda: DiscreteJoint([[np.nan, 0.5], [0.25, 0.25]]), "probs contains non-finite entries"),
+    (lambda: ConditionalMatrix(np.eye(2), [1.0]),
+     "weights length does not match number of rows"),
+], ids=["joint-1d", "joint-empty", "joint-nan", "cond-weights-length"])
+def test_table_input_checks(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
 def test_joint_from_conditional_diagonal():
     cond = ConditionalMatrix([[1, 0], [0, 1]], [0.5, 0.5])
     joint = joint_from_conditional(cond)

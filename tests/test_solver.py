@@ -559,14 +559,6 @@ def test_converged_encoder_stays_fixed_through_the_row_merge():
     assert again.objective == pytest.approx(enc.objective, abs=1e-12)
 
 
-def test_sweep_reports_slowdown_peak():
-    result = sweep(discretize(noise_preset(0.2)), np.geomspace(1.5, 4.5, 9), seed=0)
-    iterations = [p.iterations for p in result.points]
-    peak = result.protocol["slowdown_peak_beta"]
-    assert peak == result.points[iterations.index(max(iterations))].beta
-    assert result.protocol["distinct_rows"] == 4
-
-
 # ---------------------------------------------------------------------------
 # Reference: solve() with a merge per call, the restarts drawn on the
 # distinct rows, init_probs projected by np.add.at, one information pair per
@@ -865,6 +857,19 @@ def test_z_card_below_two_rejected_before_any_point(monkeypatch, z_card):
     monkeypatch.setattr(solver, "solve", _no_solve)
     with pytest.raises(ValidationError, match=f"z_card must be at least 2, got {z_card}"):
         sweep(two_cluster_joint(0.2), np.geomspace(1.5, 4.5, 7), z_card)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve(two_cluster_joint(0.2), 3.0, 2, init_probs=np.full((3, 2), 0.5)),
+     r"init_probs shape \(3, 2\) does not match \(2, 2\)"),
+    (lambda: solve(two_cluster_joint(0.2), 3.0, 2, restarts=-1),
+     "restarts must be non-negative"),
+    (lambda: info_plane(np.full((3, 2), 0.5), two_cluster_joint(0.2)),
+     "encoder rows do not match joint x alphabet"),
+], ids=["init-probs-shape", "restarts-neg", "info-plane-rows"])
+def test_solver_input_checks(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 0.0])

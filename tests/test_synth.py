@@ -119,6 +119,19 @@ def test_spec_rejects_ragged_or_misshapen_arrays(fields):
         MixtureSpec(**{**good, **fields})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda path: sample(noise_preset(0.2), 0, seed=0), "need at least one sample"),
+    (lambda path: MixtureSpec.from_dict({}), "malformed mixture document: 'components'"),
+    (lambda path: load_spec_json(path), r"bad\.json: invalid JSON \(Expecting property name"),
+    (lambda path: discretize(noise_preset(0.2), 0), "bins_per_axis must be at least 1"),
+], ids=["sample-0", "from-dict-empty", "spec-invalid-json", "discretize-0"])
+def test_synth_input_checks(tmp_path, call, message):
+    path = tmp_path / "bad.json"
+    path.write_text("{nope")
+    with pytest.raises(ValidationError, match=message):
+        call(path)
+
+
 def test_spec_arrays_are_read_only_copies():
     means = np.array([[-1.0, 0.0], [1.0, 0.0]])
     spec = MixtureSpec(means, np.full((2, 2), 0.25), [0.5, 0.5], [0, 1], symmetric_flip(0.2))
